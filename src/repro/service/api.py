@@ -34,6 +34,7 @@ for a reply that was silently dropped.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, IO, List, Optional
@@ -63,6 +64,37 @@ class ServiceRequest:
     #: (JSON dicts) on the response.  Tracing never affects the cache:
     #: hits skip the flow entirely and carry no trace.
     trace: bool = False
+
+    @classmethod
+    def parse(cls, obj: Dict[str, Any], default_name: str,
+              default_timeout: Optional[float] = None) -> "ServiceRequest":
+        """Build a request from one decoded JSON-lines request object.
+
+        ``"id"`` names the request (``default_name`` when absent or
+        null); an absent ``"timeout"`` takes ``default_timeout``.  Raises
+        ``ValueError`` on a missing ``blif``, malformed ``options``, a
+        ``timeout`` that is not null or a positive finite number, or a
+        ``trace`` that is not a bool.
+        """
+        try:
+            blif = obj["blif"]
+            options = BDSOptions.from_dict(obj.get("options") or {})
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError("%s: %s" % (type(exc).__name__, exc)) from exc
+        timeout = obj.get("timeout", default_timeout)
+        if timeout is not None and (
+                isinstance(timeout, bool)
+                or not isinstance(timeout, (int, float))
+                or not math.isfinite(timeout) or timeout <= 0):
+            raise ValueError("timeout must be null or a positive number, "
+                             "got %r" % (timeout,))
+        trace = obj.get("trace", False)
+        if not isinstance(trace, bool):
+            raise ValueError("trace must be a bool, got %r" % (trace,))
+        req_id = obj.get("id")
+        return cls(blif=blif, options=options,
+                   name=str(default_name if req_id is None else req_id),
+                   timeout=timeout, trace=trace)
 
 
 @dataclass
@@ -429,13 +461,10 @@ class OptimizationService:
                         "text": get_registry().render_prometheus()})
                     continue
                 try:
-                    req = ServiceRequest(
-                        blif=obj["blif"],
-                        options=BDSOptions.from_dict(obj.get("options") or {}),
-                        name=str(obj.get("id", served + session.outstanding)),
-                        timeout=obj.get("timeout", self.default_timeout),
-                        trace=bool(obj.get("trace", False)))
-                except (KeyError, TypeError, ValueError) as exc:
+                    req = ServiceRequest.parse(
+                        obj, str(served + session.outstanding),
+                        self.default_timeout)
+                except ValueError as exc:
                     self._emit(stdout, {"status": "failed",
                                         "error": "bad request: %s" % exc})
                     continue

@@ -50,7 +50,6 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
-from repro.bds.flow import BDSOptions
 from repro.obs.metrics import get_registry
 from repro.service.api import OptimizationService, ServiceRequest, ServiceSession
 from repro.service.scheduler import OptimizationScheduler, SchedulerFull
@@ -362,14 +361,10 @@ class SocketServer:
             self._reject_overloaded(conn, req_id)
             return
         try:
-            req = ServiceRequest(
-                blif=obj["blif"],
-                options=BDSOptions.from_dict(obj.get("options") or {}),
-                name=str(req_id if req_id is not None
-                         else conn.served + conn.session.outstanding),
-                timeout=obj.get("timeout", self.service.default_timeout),
-                trace=bool(obj.get("trace", False)))
-        except (KeyError, TypeError, ValueError) as exc:
+            req = ServiceRequest.parse(
+                obj, str(conn.served + conn.session.outstanding),
+                self.service.default_timeout)
+        except ValueError as exc:
             self._send(conn, _with_id({"status": "failed",
                                        "error": "bad request: %s" % exc},
                                       req_id))

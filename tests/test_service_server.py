@@ -9,6 +9,7 @@ module-level fault-injection callables, with blif strings doubling as
 scripts (``sleep:<s>`` sleeps before echoing).
 """
 
+import io
 import json
 import socket
 import threading
@@ -324,6 +325,51 @@ class TestConnectionProtocol:
                 t0 = time.monotonic()
                 assert client.request("fresh")["status"] == "ok"
                 assert time.monotonic() - t0 < 10.0
+
+
+def _exchange(transport, objs, tmp_path):
+    """Send request objects over one transport; return every reply."""
+    service = _scripted_service(max_workers=1)
+    if transport == "stdin":
+        out = io.StringIO()
+        service.serve(io.StringIO("".join(json.dumps(o) + "\n"
+                                          for o in objs)), out)
+        return [json.loads(line) for line in out.getvalue().splitlines()]
+    server = SocketServer(service, socket_path=str(tmp_path / "srv.sock"))
+    with _running(server):
+        sock, reader = _raw_connect(server.address)
+        _send_lines(sock, objs)
+        replies = [json.loads(reader.readline()) for _ in objs]
+        sock.close()
+    return replies
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize("transport", ["stdin", "socket"])
+    @pytest.mark.parametrize("bad", [
+        {"timeout": "5"}, {"timeout": True}, {"timeout": 0},
+        {"timeout": -1.5}, {"timeout": float("inf")}, {"trace": "yes"},
+        {"options": [1]},
+    ], ids=lambda bad: "%s=%r" % next(iter(bad.items())))
+    def test_bad_field_is_answered_and_the_next_request_served(
+            self, tmp_path, transport, bad):
+        replies = _exchange(transport, [dict(bad, id="bad", blif="x"),
+                                        {"id": "good", "blif": "y"}],
+                            tmp_path)
+        assert len(replies) == 2
+        assert replies[0]["status"] == "failed"
+        assert "bad request" in replies[0]["error"]
+        assert (replies[1]["id"], replies[1]["status"],
+                replies[1]["blif"]) == ("good", "ok", "echo:y")
+
+    @pytest.mark.parametrize("transport", ["stdin", "socket"])
+    def test_valid_timeout_and_trace_are_accepted(self, tmp_path,
+                                                  transport):
+        replies = _exchange(transport, [
+            {"id": "a", "blif": "x", "timeout": 30, "trace": False},
+            {"id": "b", "blif": "y", "timeout": 2.5},
+            {"id": "c", "blif": "z", "timeout": None}], tmp_path)
+        assert [r["status"] for r in replies] == ["ok"] * 3
 
 
 class TestTransports:
