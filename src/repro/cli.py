@@ -223,11 +223,12 @@ def _batch_inputs(paths) -> list:
     return files
 
 
-def _service_from_args(args):
+def _service_from_args(args, queue_cap=64):
     from repro.service import ArtifactCache, OptimizationService
 
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     return OptimizationService(cache=cache, max_workers=args.jobs,
+                               queue_cap=queue_cap,
                                default_timeout=args.timeout)
 
 
@@ -298,23 +299,23 @@ def _cmd_batch(args) -> int:
 def _cmd_serve(args) -> int:
     """Long-lived JSON-lines daemon.
 
-    Default transport is stdin/stdout (one request per input line, one
-    response per output line); ``--socket PATH`` / ``--port N`` instead
-    runs the concurrent socket front door (many clients, shared cache +
-    scheduler, SIGTERM drain) -- see docs/SERVICE.md for both wire
-    formats.
+    Default transport is stdin/stdout, served as one connection (one
+    request per input line, one response per output line);
+    ``--socket PATH`` / ``--port N`` instead runs the concurrent socket
+    front door (many clients, shared cache + scheduler, SIGTERM drain).
+    Both speak one protocol (docs/SERVICE.md); ``--backlog`` bounds the
+    scheduler queue of either.
     """
-    service = _service_from_args(args)
-    if args.socket or args.port is not None:
-        from repro.service.server import SocketServer
+    from repro.service.server import SocketServer, serve_stdio
 
+    service = _service_from_args(args, queue_cap=args.backlog)
+    if args.socket or args.port is not None:
         server = SocketServer(service, socket_path=args.socket,
-                              host=args.host, port=args.port,
-                              backlog=args.backlog)
+                              host=args.host, port=args.port)
         server.serve_forever()
         print("serve: drained cleanly", file=sys.stderr)
         return 0
-    served = service.serve(sys.stdin, sys.stdout)
+    served = serve_stdio(service, sys.stdin, sys.stdout)
     print("serve: handled %d request(s)" % served, file=sys.stderr)
     return 0
 
@@ -662,8 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--host", default="127.0.0.1",
                        help="bind address for --port (default 127.0.0.1)")
     p_srv.add_argument("--backlog", type=int, default=64, metavar="N",
-                       help="outstanding jobs before requests are refused "
-                            "with an 'overloaded' reply (default 64)")
+                       help="scheduler queue bound: stdin waits for room, "
+                            "a socket refuses the request 'overloaded' "
+                            "(default 64)")
     p_srv.set_defaults(func=_cmd_serve)
 
     p_cli = sub.add_parser("client", help="send BLIFs to a running "

@@ -14,11 +14,12 @@ Production-facing layer over the BDS flow:
 * :mod:`repro.service.api` -- :class:`OptimizationService` routing every
   request through cache-lookup -> schedule -> cache-store;
   :class:`ServiceSession` pipelines one request stream (ordered
-  responses) over a possibly shared scheduler; plus the JSON-lines
-  stdin daemon behind ``repro serve`` and ``repro batch``.
-* :mod:`repro.service.server` -- the concurrent socket front door
-  (``repro serve --socket/--port``): many clients, one shared
-  scheduler, explicit ``overloaded`` backpressure, SIGTERM drain.
+  responses) over a possibly shared scheduler; behind ``repro batch``.
+* :mod:`repro.service.server` -- the JSON-lines request protocol of
+  ``repro serve`` and its two transports: :func:`serve_stdio` runs
+  stdin/stdout as one connection, :class:`SocketServer`
+  (``--socket/--port``) serves many clients over one shared scheduler
+  with explicit ``overloaded`` backpressure and a SIGTERM drain.
 * :mod:`repro.service.client` -- :class:`ServiceClient` speaking the
   socket protocol with jittered-backoff retry (``repro client``).
 """
@@ -29,7 +30,7 @@ from repro.service.cache import Artifact, ArtifactCache
 from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.scheduler import (JobResult, OptimizationScheduler,
                                      SchedulerFull)
-from repro.service.server import SocketServer
+from repro.service.server import SocketServer, serve_stdio
 
 __all__ = [
     "Artifact",
@@ -44,4 +45,5 @@ __all__ = [
     "ServiceSession",
     "ServiceUnavailable",
     "SocketServer",
+    "serve_stdio",
 ]

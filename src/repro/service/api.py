@@ -1,7 +1,7 @@
 """The optimization service: cache-lookup -> schedule -> cache-store.
 
 :class:`OptimizationService` is the one front door every entry point
-(``repro batch``, ``repro serve``, the socket server in
+(``repro batch``, and both ``repro serve`` transports in
 :mod:`repro.service.server`) routes through.  A request carries a BLIF
 netlist plus a :class:`repro.bds.flow.BDSOptions` snapshot; the service
 
@@ -14,30 +14,23 @@ netlist plus a :class:`repro.bds.flow.BDSOptions` snapshot; the service
 3. stores every successful result back into the cache.
 
 Concurrency is layered through :class:`ServiceSession`: one session is
-one pipelined request stream (a batch, the stdin loop, or one socket
-connection) whose responses come back **in that session's request
-order** regardless of worker completion order; many sessions can
+one pipelined request stream (a batch, or one ``repro serve``
+connection -- stdin is one) whose responses come back **in that
+session's request order** regardless of worker completion order; many
+sessions can
 multiplex onto one shared scheduler, which is how the socket server
 overlaps clients.  A cache hit is byte-identical to the artifact
 originally stored (the BLIF text is returned verbatim, never
-re-serialized).
-
-``serve`` implements the stdin/stdout ``repro serve`` JSON-lines
-daemon: one request object per input line, one response object per
-output line, with requests pipelined onto the scheduler between lines.
-A ``{"cmd": "shutdown"}`` that interleaves with still-pending requests
-cancels them and emits the documented per-request ``cancelled``
-response for each before the final ack -- clients never hang waiting
-for a reply that was silently dropped.
+re-serialized).  The JSON-lines request protocol itself lives in
+:mod:`repro.service.server`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, IO, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.bds.flow import BDSOptions
 from repro.obs.metrics import get_registry
@@ -173,8 +166,8 @@ class ServiceSession:
 
         Raises :class:`repro.service.scheduler.SchedulerFull` when the
         request needs scheduling and the queue is at capacity -- callers
-        either apply backpressure (batch/stdin modes) or convert it into
-        an explicit ``overloaded`` reply (the socket server).
+        either wait for room first (batch and stdin) or convert it into
+        an explicit ``overloaded`` reply (sockets).
         """
         slot = len(self._slots)
         self._slots.append(None)
@@ -321,25 +314,21 @@ class ServiceSession:
 class OptimizationService:
     """Batched optimization with artifact reuse (see module doc).
 
-    ``scheduler`` (optional) is an externally owned, long-lived
-    scheduler that every session of this service multiplexes onto --
-    the socket server's mode.  Without it, ``process``/``serve`` create
-    a private scheduler from ``scheduler_factory`` on first miss and
-    tear it down when done.
+    ``queue_cap`` bounds the jobs a scheduler holds: ``process`` and the
+    stdin daemon wait for room, the socket server refuses the request
+    ``overloaded``.
     """
 
     def __init__(self, cache: Optional[ArtifactCache] = None,
                  max_workers: int = 1, queue_cap: int = 64,
                  default_timeout: Optional[float] = None,
                  scheduler_factory: Callable[..., OptimizationScheduler]
-                 = OptimizationScheduler,
-                 scheduler: Optional[OptimizationScheduler] = None) -> None:
+                 = OptimizationScheduler) -> None:
         self.cache = cache
         self.max_workers = max_workers
         self.queue_cap = queue_cap
         self.default_timeout = default_timeout
         self._scheduler_factory = scheduler_factory
-        self._shared_scheduler = scheduler
         # Kernel counters aggregated over every response this service
         # produced (hits and misses alike); reported by the stats command.
         self._kernel: Dict[str, float] = {}
@@ -356,14 +345,11 @@ class OptimizationService:
     def session(self,
                 scheduler: Optional[OptimizationScheduler] = None) \
             -> ServiceSession:
-        """A new pipelined session.  ``scheduler`` (or the service's
-        shared one) is used when given; otherwise the session lazily
-        creates -- but does not own -- one via :meth:`make_scheduler`,
-        so callers without a shared scheduler should use
-        :meth:`_owned_session` instead."""
-        shared = scheduler or self._shared_scheduler
-        if shared is not None:
-            return ServiceSession(self, lambda: shared)
+        """A new pipelined session over ``scheduler``.  Without one the
+        session creates a scheduler via :meth:`make_scheduler` on first
+        need; the caller shuts it down (see :meth:`process`)."""
+        if scheduler is not None:
+            return ServiceSession(self, lambda: scheduler)
         return ServiceSession(self, self.make_scheduler)
 
     # -- core ----------------------------------------------------------
@@ -375,21 +361,20 @@ class OptimizationService:
         call blocks until a slot frees up.
         """
         session = self.session()
-        owned = self._shared_scheduler is None
         try:
             for req in requests:
-                self._backpressure(session)
+                self.wait_for_room(session)
                 session.submit(req)
             session.drain()
         finally:
-            if owned and session.scheduler_started:
+            if session.scheduler_started:
                 session.scheduler().shutdown()
         return session.take_all()
 
     def optimize_one(self, request: ServiceRequest) -> ServiceResponse:
         return self.process([request])[0]
 
-    def _backpressure(self, session: ServiceSession) -> None:
+    def wait_for_room(self, session: ServiceSession) -> None:
         """Block while the session's scheduler queue is at capacity."""
         if not session.scheduler_started:
             return
@@ -397,87 +382,6 @@ class OptimizationService:
         while sched.outstanding >= sched.queue_cap:
             sched.poll()
             time.sleep(_DRAIN_POLL)
-
-    # -- JSON-lines daemon ---------------------------------------------
-
-    def serve(self, stdin: IO[str], stdout: IO[str]) -> int:
-        """Serve requests line by line until EOF or a shutdown command.
-
-        Request lines: ``{"blif": ..., "options": {...}, "id": ...,
-        "timeout": ..., "trace": ...}`` or ``{"cmd": "stats"}`` /
-        ``{"cmd": "metrics"}`` / ``{"cmd": "shutdown"}``.
-        Every line gets exactly one JSON response line; malformed lines
-        get ``{"status": "failed", ...}`` rather than killing the daemon.
-
-        Requests pipeline onto the scheduler between input lines;
-        responses to requests are emitted in request order.  ``stats``
-        and ``metrics`` drain outstanding work first (their numbers
-        cover everything submitted before them); ``shutdown`` instead
-        *cancels* outstanding work, emitting the per-request
-        ``cancelled`` response for every unanswered request before the
-        final ack.
-        """
-        session = self.session()
-        owned = self._shared_scheduler is None
-        served = 0
-
-        def flush() -> None:
-            nonlocal served
-            for resp in session.ready():
-                self._emit(stdout, dict(resp.to_json_obj(), id=resp.name))
-                served += 1
-
-        try:
-            for line in stdin:
-                line = line.strip()
-                if not line:
-                    continue
-                session.poll()
-                flush()
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as exc:
-                    self._emit(stdout, {"status": "failed",
-                                        "error": "bad request: %s" % exc})
-                    continue
-                cmd = obj.get("cmd")
-                if cmd == "shutdown":
-                    session.cancel_outstanding()
-                    flush()
-                    self._emit(stdout, {"status": "ok", "served": served})
-                    return served
-                if cmd == "stats":
-                    session.drain()
-                    flush()
-                    self._emit(stdout, self.stats(served))
-                    continue
-                if cmd == "metrics":
-                    session.drain()
-                    flush()
-                    self._emit(stdout, {
-                        "status": "ok", "format": "prometheus",
-                        "text": get_registry().render_prometheus()})
-                    continue
-                try:
-                    req = ServiceRequest.parse(
-                        obj, str(served + session.outstanding),
-                        self.default_timeout)
-                except ValueError as exc:
-                    self._emit(stdout, {"status": "failed",
-                                        "error": "bad request: %s" % exc})
-                    continue
-                self._backpressure(session)
-                session.submit(req)
-                session.poll()
-                flush()
-            session.drain()
-            flush()
-            return served
-        finally:
-            if owned and session.scheduler_started:
-                session.scheduler().shutdown()
 
     def stats(self, served: int = 0) -> Dict[str, Any]:
         """The full ``{"cmd": "stats"}`` response object.
@@ -506,11 +410,6 @@ class OptimizationService:
         }
 
     # -- internals -----------------------------------------------------
-
-    @staticmethod
-    def _emit(stdout: IO[str], obj: Dict[str, Any]) -> None:
-        stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-        stdout.flush()
 
     def _note_response(self, resp: ServiceResponse) -> None:
         """Fold one finished response into the service-wide aggregates."""

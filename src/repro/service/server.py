@@ -1,33 +1,36 @@
-"""Concurrent socket front door for the optimization service.
+"""The ``repro serve`` request protocol and its two transports.
 
-``repro serve --socket PATH`` / ``--port N`` runs :class:`SocketServer`:
-a single-threaded, ``selectors``-driven event loop accepting many
-concurrent clients over a Unix-domain or TCP socket, speaking the same
-JSON-lines protocol as the stdin daemon (``docs/SERVICE.md``).  Each
-connection gets its own :class:`repro.service.api.ServiceSession`, and
-every session multiplexes onto **one** shared
-:class:`repro.service.scheduler.OptimizationScheduler` and one shared
-artifact cache -- the completion callbacks added to the scheduler are
-what let the loop pipeline requests from one client while another
-client's jobs are still running, without ever blocking in submission
-order.
+:class:`_Connection` is the one implementation of the JSON-lines
+protocol (``docs/SERVICE.md``): it parses lines, answers commands,
+refuses bad or excess requests and orders replies.  Two drivers feed it:
 
-Contracts (the tentpole's acceptance criteria):
+* :class:`SocketServer` (``repro serve --socket PATH`` / ``--port N``):
+  a single-threaded, ``selectors``-driven event loop accepting many
+  concurrent clients over a Unix-domain or TCP socket.  Each connection
+  gets its own :class:`repro.service.api.ServiceSession`, and every
+  session multiplexes onto **one** shared
+  :class:`repro.service.scheduler.OptimizationScheduler` and one shared
+  artifact cache -- the scheduler's completion callbacks let the loop
+  pipeline one client's requests while another client's jobs run.
+* :func:`serve_stdio` (plain ``repro serve``): stdin/stdout as a single
+  connection.  Reads block: before each line it waits for scheduler
+  room, so stdin never sees ``overloaded``.
 
-* **Per-connection response order** -- responses to *requests* on a
-  connection are emitted in that connection's request order, exactly
-  like the stdin mode.  Command replies (``stats``/``metrics``) and
-  rejection replies (``overloaded``, malformed) are immediate and
-  therefore out of band; they carry the request's ``id`` where one was
-  given.
-* **Explicit backpressure** -- once the shared scheduler has ``backlog``
-  jobs outstanding, further requests are answered immediately with
-  ``{"status": "overloaded", "error": "overloaded", "retry_after": s}``
-  rather than silently queueing.  The paired
+Contracts:
+
+* **Per-connection order** -- replies to requests leave in request
+  order.  A ``stats``/``metrics``/``shutdown`` reply takes its place in
+  that order (lines after a command are handled once it is answered).
+  Refusals (malformed, bad request, ``overloaded``, draining) leave at
+  once and echo the request's ``id`` where one was given.
+* **One admission budget** -- a request is refused ``{"status":
+  "overloaded", "error": "overloaded", "retry_after": s}`` exactly when
+  the scheduler's queue is full (``OptimizationService.queue_cap``,
+  ``repro serve --backlog``).  The paired
   :class:`repro.service.client.ServiceClient` retries these with
   jittered exponential backoff.
-* **Graceful drain** -- SIGTERM stops accepting connections, lets
-  running jobs finish, flushes every response buffer, then exits 0.
+* **Graceful drain** (sockets) -- SIGTERM stops accepting connections,
+  lets running jobs finish, flushes every response buffer, then exits 0.
   Requests arriving *during* the drain are answered
   ``{"status": "cancelled", "error": "server draining"}``; a second
   SIGTERM force-cancels outstanding jobs (each still gets its
@@ -36,7 +39,7 @@ Contracts (the tentpole's acceptance criteria):
 Metrics (``repro_`` prefix via the registry): ``server_connections``
 (gauge), ``server_connections_total``, ``server_backpressure_total``
 (counters), ``server_request_seconds`` (per-request latency histogram,
-admission to response).
+admission to response, on both transports).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import signal
 import socket
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import IO, Any, Callable, Dict, Optional
 
 from repro.obs.metrics import get_registry
 from repro.service.api import OptimizationService, ServiceRequest, ServiceSession
@@ -63,28 +66,128 @@ _RECV_SIZE = 65536
 #: Default ``retry_after`` hint (seconds) on overloaded replies.
 DEFAULT_RETRY_AFTER = 0.25
 
-#: Default backlog: scheduler jobs outstanding before overloaded replies.
-DEFAULT_BACKLOG = 64
-
 #: Hard cap on one line (a request is one line; a 16 MiB line is abuse).
 _MAX_LINE = 16 * 1024 * 1024
 
 
 class _Connection:
-    """Per-client state: socket, session, buffers, latency clocks."""
+    """One request stream: the JSON-lines protocol of ``repro serve``.
 
-    def __init__(self, sock: socket.socket, session: ServiceSession) -> None:
-        self.sock = sock
+    Both transports drive it alike: the socket server for every accepted
+    client, :func:`serve_stdio` for stdin/stdout.  They :meth:`feed` it
+    input bytes and write out :attr:`wbuf`.  Replies to requests leave
+    in request order; a command's reply takes its place in that order
+    (input after a command is handled once the command is answered);
+    refusals leave at once.  A closing connection drops further input.
+    """
+
+    def __init__(self, service: OptimizationService, session: ServiceSession,
+                 is_draining: Callable[[], bool],
+                 retry_after: float = DEFAULT_RETRY_AFTER) -> None:
+        self.service = service
         self.session = session
+        self.is_draining = is_draining
+        self.retry_after = retry_after
         self.rbuf = b""
         self.wbuf = b""
         #: slot index -> admission time, for the latency histogram.
         self.t0: Dict[int, float] = {}
-        #: responses emitted so far == next slot ``ready()`` will yield.
-        self.emitted = 0
+        #: requests admitted == the slot the next request takes.
+        self.admitted = 0
+        #: replies emitted == the slot ``ready()`` yields next.
         self.served = 0
-        #: half-closed: flush ``wbuf``, then close (set by ``shutdown``).
+        #: the reply of a command waiting for every earlier request.
+        self.waiting: Optional[Callable[[], Dict[str, Any]]] = None
+        #: set by ``shutdown``: flush ``wbuf``, then close.
         self.closing = False
+
+    def feed(self, data: bytes) -> None:
+        """Take raw input and handle every line the stream is ready for."""
+        self.rbuf += data
+        self.pump()
+
+    def pump(self) -> None:
+        """Move finished replies into ``wbuf`` in stream order, answer a
+        waiting command once its turn comes, then handle held input."""
+        while True:
+            for resp in self.session.ready():
+                t0 = self.t0.pop(self.served, None)
+                if t0 is not None:
+                    get_registry().histogram("server_request_seconds") \
+                        .observe(time.monotonic() - t0)
+                self.send(dict(resp.to_json_obj(), id=resp.name))
+                self.served += 1
+            if self.waiting is not None:
+                if self.session.outstanding:
+                    return
+                self.send(self.waiting())
+                self.waiting = None
+            line = self._next_line()
+            if line is None:
+                return
+            self.handle_line(line)
+
+    def _next_line(self) -> Optional[str]:
+        while not self.closing and b"\n" in self.rbuf:
+            line, self.rbuf = self.rbuf.split(b"\n", 1)
+            text = line.decode("utf-8", errors="replace").strip()
+            if text:
+                return text
+        return None
+
+    def handle_line(self, text: str) -> None:
+        """Answer one command or admit one request."""
+        try:
+            obj = json.loads(text)
+            if not isinstance(obj, dict):
+                raise ValueError("request must be a JSON object")
+        except ValueError as exc:
+            self.send({"status": "failed", "error": "bad request: %s" % exc})
+            return
+        cmd = obj.get("cmd")
+        if cmd == "stats":
+            self.waiting = lambda: self.service.stats(self.served)
+            return
+        if cmd == "metrics":
+            self.waiting = lambda: {
+                "status": "ok", "format": "prometheus",
+                "text": get_registry().render_prometheus()}
+            return
+        if cmd == "shutdown":
+            # Cancel this stream's outstanding work (each request still
+            # gets its cancelled reply, in order), then ack and close.
+            self.session.cancel_outstanding()
+            self.waiting = self._ack_and_close
+            return
+        req_id = obj.get("id")
+        if self.is_draining():
+            self.send(_with_id({"status": "cancelled",
+                                "error": "server draining"}, req_id))
+            return
+        try:
+            req = ServiceRequest.parse(obj, str(self.admitted),
+                                       self.service.default_timeout)
+        except ValueError as exc:
+            self.send(_with_id({"status": "failed",
+                                "error": "bad request: %s" % exc}, req_id))
+            return
+        start = time.monotonic()
+        try:
+            slot = self.session.submit(req)
+        except SchedulerFull:
+            get_registry().counter("server_backpressure_total").inc()
+            self.send(_with_id({"status": "overloaded", "error": "overloaded",
+                                "retry_after": self.retry_after}, req_id))
+            return
+        self.admitted += 1
+        self.t0[slot] = start
+
+    def _ack_and_close(self) -> Dict[str, Any]:
+        self.closing = True
+        return {"status": "ok", "served": self.served}
+
+    def send(self, obj: Dict[str, Any]) -> None:
+        self.wbuf += (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
 
 
 class SocketServer:
@@ -92,14 +195,13 @@ class SocketServer:
 
     Exactly one of ``socket_path`` (AF_UNIX) or ``port`` (TCP; ``0``
     binds an ephemeral port, read back from :attr:`address`) must be
-    given.  ``backlog`` bounds scheduler outstanding before requests are
-    refused with ``overloaded``.
+    given.  Requests are refused ``overloaded`` once the scheduler's
+    queue (``OptimizationService.queue_cap``) is full.
     """
 
     def __init__(self, service: OptimizationService,
                  socket_path: Optional[str] = None,
                  host: str = "127.0.0.1", port: Optional[int] = None,
-                 backlog: int = DEFAULT_BACKLOG,
                  retry_after: float = DEFAULT_RETRY_AFTER) -> None:
         if (socket_path is None) == (port is None):
             raise ValueError("exactly one of socket_path / port required")
@@ -107,7 +209,6 @@ class SocketServer:
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self.backlog = max(1, backlog)
         self.retry_after = retry_after
         self.ready = threading.Event()
         #: Bound address once listening: the socket path, or (host, port).
@@ -162,7 +263,7 @@ class SocketServer:
                     conn = self._conns.get(sock)
                     if conn is None:
                         continue
-                    self._pump_session(conn)
+                    conn.pump()
                     self._write(sel, sock)
                     if conn.closing and not conn.wbuf \
                             and sock in self._conns:
@@ -245,9 +346,9 @@ class SocketServer:
                 continue
             sock.setblocking(False)
             assert self._scheduler is not None
-            conn = _Connection(
-                sock, self.service.session(scheduler=self._scheduler))
-            self._conns[sock] = conn
+            self._conns[sock] = _Connection(
+                self.service, self.service.session(scheduler=self._scheduler),
+                lambda: self._draining, self.retry_after)
             sel.register(sock, selectors.EVENT_READ)
             self._metrics.counter("server_connections_total").inc()
             self._metrics.gauge("server_connections").set(len(self._conns))
@@ -282,19 +383,13 @@ class SocketServer:
         if not data:
             self._close(sel, sock)
             return
-        conn.rbuf += data
-        if len(conn.rbuf) > _MAX_LINE:
-            self._send(conn, {"status": "failed",
-                              "error": "request line too long"})
+        if conn.closing:
+            return
+        if len(conn.rbuf) + len(data) > _MAX_LINE:
+            conn.send({"status": "failed", "error": "request line too long"})
             conn.closing = True
             return
-        while b"\n" in conn.rbuf:
-            line, conn.rbuf = conn.rbuf.split(b"\n", 1)
-            text = line.decode("utf-8", errors="replace").strip()
-            if text:
-                self._handle_line(conn, text)
-            if conn.closing:
-                break
+        conn.feed(data)
 
     def _write(self, sel: selectors.BaseSelector,
                sock: socket.socket) -> None:
@@ -322,87 +417,47 @@ class SocketServer:
         except (KeyError, ValueError):
             pass
 
-    # -- protocol -------------------------------------------------------
-
-    def _handle_line(self, conn: _Connection, text: str) -> None:
-        try:
-            obj = json.loads(text)
-            if not isinstance(obj, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            self._send(conn, {"status": "failed",
-                              "error": "bad request: %s" % exc})
-            return
-        cmd = obj.get("cmd")
-        if cmd == "stats":
-            self._send(conn, self.service.stats(conn.served))
-            return
-        if cmd == "metrics":
-            self._send(conn, {"status": "ok", "format": "prometheus",
-                              "text": get_registry().render_prometheus()})
-            return
-        if cmd == "shutdown":
-            # Connection-scoped: cancel this client's outstanding work
-            # (each request still gets its cancelled response, in
-            # order), ack, flush, close.  The *server* is stopped by
-            # SIGTERM, not by a client command.
-            conn.session.cancel_outstanding()
-            self._pump_session(conn)
-            self._send(conn, {"status": "ok", "served": conn.served})
-            conn.closing = True
-            return
-        req_id = obj.get("id")
-        if self._draining:
-            self._send(conn, _with_id({"status": "cancelled",
-                                       "error": "server draining"}, req_id))
-            return
-        assert self._scheduler is not None
-        if self._scheduler.outstanding >= self.backlog:
-            self._reject_overloaded(conn, req_id)
-            return
-        try:
-            req = ServiceRequest.parse(
-                obj, str(conn.served + conn.session.outstanding),
-                self.service.default_timeout)
-        except ValueError as exc:
-            self._send(conn, _with_id({"status": "failed",
-                                       "error": "bad request: %s" % exc},
-                                      req_id))
-            return
-        admitted = time.monotonic()
-        try:
-            slot = conn.session.submit(req)
-        except SchedulerFull:
-            self._reject_overloaded(conn, req_id)
-            return
-        conn.t0[slot] = admitted
-        self._pump_session(conn)
-
-    def _reject_overloaded(self, conn: _Connection,
-                           req_id: Any) -> None:
-        self._metrics.counter("server_backpressure_total").inc()
-        self._send(conn, _with_id({"status": "overloaded",
-                                   "error": "overloaded",
-                                   "retry_after": self.retry_after},
-                                  req_id))
-
-    def _pump_session(self, conn: _Connection) -> None:
-        """Move completed session responses into the write buffer."""
-        for resp in conn.session.ready():
-            slot = conn.emitted
-            conn.emitted += 1
-            t0 = conn.t0.pop(slot, None)
-            if t0 is not None:
-                self._metrics.histogram("server_request_seconds").observe(
-                    time.monotonic() - t0)
-            self._send(conn, dict(resp.to_json_obj(), id=resp.name))
-            conn.served += 1
-
-    def _send(self, conn: _Connection, obj: Dict[str, Any]) -> None:
-        conn.wbuf += (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-
 
 def _with_id(obj: Dict[str, Any], req_id: Any) -> Dict[str, Any]:
     if req_id is not None:
         obj = dict(obj, id=req_id)
     return obj
+
+
+def serve_stdio(service: OptimizationService, stdin: IO[str],
+                stdout: IO[str]) -> int:
+    """Serve ``stdin`` as one connection until EOF or ``shutdown``.
+
+    Returns the number of requests served.  Requests pipeline onto the
+    scheduler between lines.  Reads block instead of refusing: before
+    each line the loop waits for queue room, and after a command until
+    it is answered.
+    """
+    session = service.session()
+    conn = _Connection(service, session, lambda: False)
+
+    def flush() -> None:
+        conn.pump()
+        if conn.wbuf:
+            stdout.write(conn.wbuf.decode("utf-8"))
+            stdout.flush()
+            conn.wbuf = b""
+
+    try:
+        for line in stdin:
+            text = line.strip()
+            if not text:
+                continue
+            service.wait_for_room(session)
+            conn.feed(text.encode("utf-8", errors="replace") + b"\n")
+            if conn.waiting is not None:
+                session.drain()
+            flush()
+            if conn.closing:
+                break
+        session.drain()
+        flush()
+        return conn.served
+    finally:
+        if session.scheduler_started:
+            session.scheduler().shutdown()

@@ -13,7 +13,8 @@ from repro.circuits import build_circuit
 from repro.circuits.registry import TABLE1_CIRCUITS
 from repro.network.blif import parse_blif, write_blif
 from repro.obs.metrics import get_registry
-from repro.service import (ArtifactCache, OptimizationService, ServiceRequest)
+from repro.service import (ArtifactCache, OptimizationService, ServiceRequest,
+                           serve_stdio)
 from repro.verify import verify_networks
 
 SMALL = ["add4", "add8", "cmp8", "parity8", "rl_mux"]
@@ -93,7 +94,8 @@ class TestServeLoop:
     def _serve(self, lines, cache=None):
         service = OptimizationService(cache=cache)
         out = io.StringIO()
-        served = service.serve(io.StringIO("\n".join(lines) + "\n"), out)
+        served = serve_stdio(service, io.StringIO("\n".join(lines) + "\n"),
+                             out)
         return served, [json.loads(line) for line in out.getvalue().splitlines()]
 
     def test_request_stats_shutdown(self, tmp_path):
@@ -178,7 +180,8 @@ class TestServeLoop:
                  json.dumps({"blif": "sleep:30", "id": "queued"}),
                  json.dumps({"cmd": "shutdown"})]
         out_io = io.StringIO()
-        served = service.serve(io.StringIO("\n".join(lines) + "\n"), out_io)
+        served = serve_stdio(service, io.StringIO("\n".join(lines) + "\n"),
+                             out_io)
         out = [json.loads(line) for line in
                out_io.getvalue().splitlines()]
         assert served == 2
@@ -196,7 +199,7 @@ class TestServeLoop:
         lines = [json.dumps({"blif": "sleep:0.4", "id": "slow"}),
                  json.dumps({"blif": "quick", "id": "quick"})]
         out_io = io.StringIO()
-        service.serve(io.StringIO("\n".join(lines) + "\n"), out_io)
+        serve_stdio(service, io.StringIO("\n".join(lines) + "\n"), out_io)
         out = [json.loads(line) for line in out_io.getvalue().splitlines()]
         assert [o["id"] for o in out] == ["slow", "quick"]
         assert [o["status"] for o in out] == ["ok", "ok"]

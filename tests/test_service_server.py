@@ -23,7 +23,7 @@ from repro.network.blif import write_blif
 from repro.obs.metrics import get_registry
 from repro.service import (ArtifactCache, OptimizationScheduler,
                            OptimizationService, ServiceClient,
-                           ServiceUnavailable, SocketServer)
+                           ServiceUnavailable, SocketServer, serve_stdio)
 
 
 def _script_worker(payload):
@@ -66,9 +66,14 @@ def _raw_connect(path):
     return sock, sock.makefile("r", encoding="utf-8", newline="\n")
 
 
+def _script(objs):
+    """Request lines: objects are JSON-encoded, strings sent verbatim."""
+    return "".join((o if isinstance(o, str) else json.dumps(o)) + "\n"
+                   for o in objs)
+
+
 def _send_lines(sock, objs):
-    sock.sendall("".join(json.dumps(o) + "\n" for o in objs)
-                 .encode("utf-8"))
+    sock.sendall(_script(objs).encode("utf-8"))
 
 
 class TestResponseOrdering:
@@ -121,12 +126,12 @@ class TestResponseOrdering:
 
 class TestBackpressure:
     def test_overloaded_reply_and_client_retry_to_success(self, tmp_path):
-        # One worker, backlog 2: two slow jobs fill the scheduler, so a
+        # One worker, queue cap 2: two slow jobs fill the scheduler, so a
         # third request is refused with an explicit overloaded reply --
         # and the client's backoff retries it to eventual success.
-        server = SocketServer(_scripted_service(max_workers=1),
+        server = SocketServer(_scripted_service(max_workers=1, queue_cap=2),
                               socket_path=str(tmp_path / "srv.sock"),
-                              backlog=2, retry_after=0.05)
+                              retry_after=0.05)
         with _running(server):
             before = get_registry().counter_value(
                 "server_backpressure_total")
@@ -161,9 +166,9 @@ class TestBackpressure:
             assert after > before
 
     def test_retries_exhausted_raises_service_unavailable(self, tmp_path):
-        server = SocketServer(_scripted_service(max_workers=1),
+        server = SocketServer(_scripted_service(max_workers=1, queue_cap=1),
                               socket_path=str(tmp_path / "srv.sock"),
-                              backlog=1, retry_after=0.01)
+                              retry_after=0.01)
         with _running(server):
             filler_sock, _reader = _raw_connect(server.address)
             _send_lines(filler_sock, [{"id": "f", "blif": "sleep:20"}])
@@ -304,10 +309,46 @@ class TestConnectionProtocol:
                 ack = client.shutdown()
                 assert ack["status"] == "ok" and ack["served"] == 1
 
-    def test_dead_client_frees_its_scheduler_slots(self, tmp_path):
+    def test_unnamed_requests_are_named_by_position(self, tmp_path):
+        # Regression: the second request finishing behind the slow first
+        # one gave the third request the second one's name.
+        server = SocketServer(_scripted_service(max_workers=2),
+                              socket_path=str(tmp_path / "srv.sock"))
+        with _running(server):
+            sock, reader = _raw_connect(server.address)
+            _send_lines(sock, [{"id": "slow", "blif": "sleep:0.6"},
+                               {"blif": "fast"}])
+            time.sleep(0.3)
+            _send_lines(sock, [{"blif": "last"}])
+            replies = [json.loads(reader.readline()) for _ in range(3)]
+            sock.close()
+        assert [(r["id"], r["blif"]) for r in replies] == [
+            ("slow", "echo:sleep:0.6"), ("1", "echo:fast"),
+            ("2", "echo:last")]
+
+    def test_lines_after_shutdown_are_dropped(self, tmp_path):
+        # Regression: a connection kept admitting the lines that came
+        # after its shutdown.  A reply too big for the socket buffer
+        # holds the connection open past the ack while input arrives.
         server = SocketServer(_scripted_service(max_workers=1),
-                              socket_path=str(tmp_path / "srv.sock"),
-                              backlog=2)
+                              socket_path=str(tmp_path / "srv.sock"))
+        with _running(server):
+            sock, reader = _raw_connect(server.address)
+            _send_lines(sock, [{"id": "big", "blif": "x" * (8 << 20)}])
+            time.sleep(1.5)                   # unread: the reply backs up
+            _send_lines(sock, [{"cmd": "shutdown"},
+                               {"id": "after1", "blif": "y"}])
+            time.sleep(0.5)
+            _send_lines(sock, [{"id": "after2", "blif": "z"}])
+            replies = [json.loads(line) for line in reader]
+            sock.close()
+        assert [(r.get("id"), r["status"]) for r in replies] \
+            == [("big", "ok"), (None, "ok")]
+        assert replies[1] == {"served": 1, "status": "ok"}
+
+    def test_dead_client_frees_its_scheduler_slots(self, tmp_path):
+        server = SocketServer(_scripted_service(max_workers=1, queue_cap=2),
+                              socket_path=str(tmp_path / "srv.sock"))
         with _running(server):
             sock, reader = _raw_connect(server.address)
             _send_lines(sock, [{"id": "a", "blif": "sleep:30"},
@@ -328,12 +369,11 @@ class TestConnectionProtocol:
 
 
 def _exchange(transport, objs, tmp_path):
-    """Send request objects over one transport; return every reply."""
+    """Send request lines over one transport; return every reply."""
     service = _scripted_service(max_workers=1)
     if transport == "stdin":
         out = io.StringIO()
-        service.serve(io.StringIO("".join(json.dumps(o) + "\n"
-                                          for o in objs)), out)
+        serve_stdio(service, io.StringIO(_script(objs)), out)
         return [json.loads(line) for line in out.getvalue().splitlines()]
     server = SocketServer(service, socket_path=str(tmp_path / "srv.sock"))
     with _running(server):
@@ -342,6 +382,41 @@ def _exchange(transport, objs, tmp_path):
         replies = [json.loads(reader.readline()) for _ in objs]
         sock.close()
     return replies
+
+
+def _wire_view(reply):
+    """The protocol fields of a reply, without timings or registry
+    counts."""
+    return {k: reply.get(k) for k in ("id", "status", "error", "blif",
+                                      "served")}
+
+
+class TestOneProtocol:
+    # Refusals leave at once, outside the ordered stream, so they come
+    # first here: that fixes the position of every reply.
+    SCRIPT = [{"id": "bad", "blif": "x", "timeout": "5"},
+              "{not json",
+              {"id": "valid", "blif": "a"},
+              {"blif": "b"},
+              {"cmd": "stats"},
+              {"id": "slow", "blif": "sleep:30"},
+              {"cmd": "shutdown"}]
+
+    def test_stdin_and_socket_give_the_same_reply_stream(self, tmp_path):
+        stdin, sock = (
+            [_wire_view(r) for r in _exchange(t, self.SCRIPT, tmp_path)]
+            for t in ("stdin", "socket"))
+        assert stdin == sock
+        assert [(r["id"], r["status"]) for r in stdin] == [
+            ("bad", "failed"), (None, "failed"), ("valid", "ok"),
+            ("1", "ok"), (None, "ok"), ("slow", "cancelled"),
+            (None, "ok")]
+        assert "bad request" in stdin[0]["error"]
+        assert "bad request" in stdin[1]["error"]
+        assert [r["blif"] for r in stdin[2:4]] == ["echo:a", "echo:b"]
+        # stats follows the replies before it; the ack counts the
+        # cancelled request too.
+        assert (stdin[4]["served"], stdin[6]["served"]) == (2, 3)
 
 
 class TestRequestValidation:
