@@ -262,6 +262,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                 from repro.bds.dontcare import minimize_with_sdc
 
                 minimize_with_sdc(part)
+                checker.check_partition(part, "partition after SDC")
 
         with tr.span("flow.decompose"):
             stats = DecompStats()

@@ -13,7 +13,9 @@ states those assumptions as checks over both network representations:
   the same signal-graph invariants restated over BDD supports, plus
   ref-ownership checks (every node's BDD ref must be a live ref of the
   partition's *own* manager -- a ref smuggled across managers indexes
-  unrelated storage and silently denotes a different function).
+  unrelated storage and silently denotes a different function) and, at
+  ``full`` level, agreement of the partition's incremental index
+  (supports, sizes, fanouts) with its local BDDs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ INV_UNDRIVEN_OUTPUT = "undriven_output"
 INV_ORPHAN_NODE = "orphan_node"
 INV_FOREIGN_REF = "foreign_bdd_ref"
 INV_SIG_VAR = "signal_variable_map"
+INV_PARTITION_INDEX = "partition_index"
 
 MAX_VIOLATIONS = 25
 
@@ -96,7 +99,7 @@ def lint_partition(part: "PartitionedNetwork", level: str = "full",
         raise ValueError("lint level must be 'cheap' or 'full', got %r"
                          % (level,))
     from repro.bdd.manager import DEAD
-    from repro.bdd.traverse import support
+    from repro.bdd.traverse import support_and_size
 
     report = CheckReport(subject=subject, level=level)
     mgr = part.mgr
@@ -113,6 +116,7 @@ def lint_partition(part: "PartitionedNetwork", level: str = "full",
         report.add(INV_SIG_VAR, "sig_var maps two signals to one manager"
                    " variable")
     fanin_graph: Dict[str, List[str]] = {}
+    analyses: Dict[str, Tuple[Set[int], int]] = {}
     for name, ref in part.refs.items():
         if len(report.violations) >= MAX_VIOLATIONS:
             break
@@ -129,7 +133,8 @@ def lint_partition(part: "PartitionedNetwork", level: str = "full",
                        "node %r has no manager variable in sig_var" % name,
                        signals=(name,))
         fanins: List[str] = []
-        for var in support(mgr, ref):
+        analyses[name] = support_and_size(mgr, ref)
+        for var in analyses[name][0]:
             sig = var_owner.get(var, mgr.var_name(var))
             fanins.append(sig)
             if sig not in known:
@@ -142,11 +147,51 @@ def lint_partition(part: "PartitionedNetwork", level: str = "full",
     if cycle:
         report.add(INV_CYCLE, "combinational cycle through local BDDs: %s"
                    % " -> ".join(cycle + cycle[:1]), signals=tuple(cycle))
+    if level == "full" and len(analyses) == len(part.refs):
+        _check_partition_index(part, analyses, report)
     report.stats["nodes"] = len(part.refs)
     report.stats["outputs"] = len(part.outputs)
     if report.violations and raise_on_violation:
         raise CheckError(report)
     return report
+
+
+def _check_partition_index(part: "PartitionedNetwork",
+                           analyses: Dict[str, Tuple[Set[int], int]],
+                           report: CheckReport) -> None:
+    """The partition's incremental index equals a recomputation from its
+    local BDDs (``analyses``: name -> fresh support and node count).
+
+    Eliminate reads consumers, pollution (the number of variables with
+    consumers) and trial sizes from this index instead of rescanning, so
+    drift silently changes which collapses it accepts.
+    """
+    mgr = part.mgr
+    sizes = part._current_sizes()
+    fanout: Dict[int, Set[str]] = {}
+    for name, (supp, size) in analyses.items():
+        cached = part._supports.get(name)
+        if cached != supp:
+            report.add(INV_PARTITION_INDEX,
+                       "cached support of node %r is %s; its BDD depends on"
+                       " %s" % (name, sorted(cached or ()), sorted(supp)),
+                       signals=(name,))
+        cached_size = sizes.get(name, size)
+        if cached_size != size:
+            report.add(INV_PARTITION_INDEX,
+                       "cached size of node %r is %d; its BDD has %d nodes"
+                       % (name, cached_size, size), signals=(name,))
+        for var in supp:
+            fanout.setdefault(var, set()).add(name)
+    for var in sorted(set(fanout) | set(part._fanout)):
+        indexed = part._fanout.get(var)
+        if indexed != fanout.get(var):
+            sig = mgr.var_name(var)
+            report.add(INV_PARTITION_INDEX,
+                       "fanout index lists %s as consumers of %r; the local"
+                       " BDDs give %s" % (sorted(indexed or ()), sig,
+                                          sorted(fanout.get(var, ()))),
+                       signals=(sig,))
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.bdd import BDD, ONE, ZERO, transfer_many
 from repro.bdd.isop import isop
-from repro.bdd.traverse import node_count, shared_node_count, support
+from repro.bdd.traverse import node_count, shared_node_count, support_and_size
 from repro.network.network import Network, Node
 from repro.sop.cover import Cover, complement, remove_contained
 from repro.sop.cube import cube_and, lit
@@ -157,10 +157,22 @@ class PartitionedNetwork:
         # Kernel counters of managers retired by compact(); merge these
         # with the live manager's snapshot for full-flow accounting.
         self.perf_history: List[Dict[str, float]] = []
-        # Per-node support cache (name -> var-id set).  Eliminate's value
-        # loop consults fanouts/pollution after every collapse; caching
-        # supports avoids retraversing every live BDD each time.
+        # Analyses of ``refs``, changed only by set_ref()/drop() (the two
+        # writers of ``refs``) so eliminate never rescans the partition:
+        # name -> support var ids; var -> live nodes whose support holds
+        # it (the consumers of the var's signal; a var is used iff it has
+        # an entry, so its use count is the set's size); name ->
+        # construction position (orders consumers independently of set
+        # iteration).
         self._supports: Dict[str, Set[int]] = {}
+        self._fanout: Dict[int, Set[str]] = {}
+        self._position: Dict[str, int] = {}
+        # name -> BDD node count, filled by set_ref().  GC keeps entries
+        # valid (``refs`` are the GC roots); a reorder swap changes node
+        # counts, so the cache is dropped whenever ``perf.reorder_swaps``
+        # moves.
+        self._sizes: Dict[str, int] = {}
+        self._sizes_swaps = mgr.perf.reorder_swaps
 
     # -- construction ---------------------------------------------------
 
@@ -180,48 +192,81 @@ class PartitionedNetwork:
                 for l in cube:
                     term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
                 acc = mgr.or_(acc, term)
-            part.refs[node.name] = acc
+            part.set_ref(node.name, acc)
             # Safe GC point: every ref still needed is in part.refs (fanin
             # literal nodes are recreated on demand by var_ref).
             mgr.maybe_collect(part.refs.values())
         return part
 
+    # -- the two writers of refs ----------------------------------------
+
+    def set_ref(self, name: str, ref: int) -> None:
+        """Point node ``name`` at ``ref``, moving its index contribution."""
+        if name in self.refs:
+            self._unindex(name)
+        else:
+            self._position.setdefault(name, len(self._position))
+        self.refs[name] = ref
+        supp, size = support_and_size(self.mgr, ref)
+        self._supports[name] = supp
+        self._current_sizes()[name] = size
+        for v in supp:
+            self._fanout.setdefault(v, set()).add(name)
+
+    def drop(self, name: str) -> None:
+        """Delete node ``name`` and its index contribution."""
+        self._unindex(name)
+        del self.refs[name]
+
+    def _unindex(self, name: str) -> None:
+        self._sizes.pop(name, None)
+        for v in self._supports.pop(name):
+            users = self._fanout[v]
+            users.discard(name)
+            if not users:
+                del self._fanout[v]
+
     # -- queries ----------------------------------------------------------
 
-    def _support_of(self, name: str) -> Set[int]:
-        """Cached support of a node's BDD; invalidated when its ref moves."""
-        s = self._supports.get(name)
-        if s is None:
-            s = support(self.mgr, self.refs[name])
-            self._supports[name] = s
-        return s
-
-    def _invalidate_support(self, name: str) -> None:
-        self._supports.pop(name, None)
-
     def fanin_signals(self, name: str) -> List[str]:
-        var_names = [self.mgr.var_name(v) for v in self._support_of(name)]
+        var_names = [self.mgr.var_name(v) for v in self._supports[name]]
         return sorted(var_names)
 
+    def _consumers(self, var: int) -> List[str]:
+        """Live nodes reading ``var``'s signal, in construction order."""
+        return sorted(self._fanout.get(var, ()),
+                      key=self._position.__getitem__)
+
     def fanouts(self) -> Dict[str, List[str]]:
-        out: Dict[str, List[str]] = {}
-        for name in self.refs:
-            for v in self._support_of(name):
-                out.setdefault(self.mgr.var_name(v), []).append(name)
-        return out
+        return {self.mgr.var_name(v): self._consumers(v)
+                for v in self._fanout}
+
+    def _current_sizes(self) -> Dict[str, int]:
+        """The size cache, emptied first if a reorder swap ran since it
+        was filled."""
+        swaps = self.mgr.perf.reorder_swaps
+        if swaps != self._sizes_swaps:
+            self._sizes.clear()
+            self._sizes_swaps = swaps
+        return self._sizes
+
+    def _size_of(self, name: str) -> int:
+        """Cached BDD node count of a live node."""
+        sizes = self._current_sizes()
+        size = sizes.get(name)
+        if size is None:
+            size = sizes[name] = node_count(self.mgr, self.refs[name])
+        return size
 
     def total_bdd_nodes(self) -> int:
         return shared_node_count(self.mgr, list(self.refs.values()))
 
     def remove_dangling(self) -> int:
-        used: Set[str] = set(self.outputs)
-        for name in self.refs:
-            for v in self._support_of(name):
-                used.add(self.mgr.var_name(v))
-        dead = [n for n in self.refs if n not in used]
+        outputs = set(self.outputs)
+        dead = [n for n in self.refs
+                if n not in outputs and self.sig_var[n] not in self._fanout]
         for n in dead:
-            del self.refs[n]
-            self._invalidate_support(n)
+            self.drop(n)
         return len(dead)
 
     # -- the eliminate loop ----------------------------------------------
@@ -242,23 +287,21 @@ class PartitionedNetwork:
         pass boundary and after each BDD-mapping compaction.
         """
         mgr = self.mgr
+        outputs = set(self.outputs)
         for _ in range(max_passes):
             changed = False
-            fanouts = self.fanouts()
             for name in list(self.refs):
-                if name in self.outputs or name not in self.refs:
-                    continue
-                consumers = [c for c in fanouts.get(name, []) if c in self.refs]
-                if not consumers:
-                    del self.refs[name]
-                    self._invalidate_support(name)
-                    changed = True
+                if name in outputs or name not in self.refs:
                     continue
                 var = self.sig_var[name]
+                consumers = self._consumers(var)
+                if not consumers:
+                    self.drop(name)
+                    changed = True
+                    continue
                 node_ref = self.refs[name]
-                node_size = node_count(mgr, node_ref)
                 new_refs: Dict[str, int] = {}
-                delta = -node_size
+                delta = -self._size_of(name)
                 too_big = False
                 for c in consumers:
                     merged = mgr.compose(self.refs[c], var, node_ref)
@@ -266,7 +309,7 @@ class PartitionedNetwork:
                     if msize > size_cap:
                         too_big = True
                         break
-                    delta += msize - node_count(mgr, self.refs[c])
+                    delta += msize - self._size_of(c)
                     new_refs[c] = merged
                 if too_big or delta > threshold:
                     # The trial compositions are garbage now; reap them if
@@ -274,12 +317,9 @@ class PartitionedNetwork:
                     mgr.maybe_collect(self.refs.values())
                     continue
                 for c, merged in new_refs.items():
-                    self.refs[c] = merged
-                    self._invalidate_support(c)
-                del self.refs[name]
-                self._invalidate_support(name)
+                    self.set_ref(c, merged)
+                self.drop(name)
                 changed = True
-                fanouts = self.fanouts()
                 # Dead-node sweep at a safe point: the collapse is merged,
                 # so self.refs is the complete live root set.
                 mgr.maybe_collect(self.refs.values())
@@ -289,7 +329,6 @@ class PartitionedNetwork:
                 if use_mapping and self._pollution() > mapping_trigger:
                     self.compact()
                     mgr = self.mgr
-                    fanouts = self.fanouts()
                     if checker is not None:
                         checker.check_partition(self, "after BDD mapping",
                                                 quick=True)
@@ -303,13 +342,10 @@ class PartitionedNetwork:
 
     def _pollution(self) -> float:
         """Fraction of manager variables that no live BDD uses."""
-        used: Set[int] = set()
-        for name in self.refs:
-            used |= self._support_of(name)
         total = self.mgr.num_vars
         if not total:
             return 0.0
-        return 1.0 - len(used) / total
+        return 1.0 - len(self._fanout) / total
 
     def compact(self) -> None:
         """BDD mapping (Section IV-B): rebuild all live BDDs in a fresh
@@ -324,7 +360,6 @@ class PartitionedNetwork:
         # frozen snapshot); the tracer follows to the fresh manager so GC
         # safe-point spans keep firing after a BDD mapping.
         new_mgr.tracer = self.mgr.tracer
-        self.refs = dict(zip(names, result.refs))
         self.sig_var = {}
         for sig in [*self.inputs, *names]:
             try:
@@ -333,8 +368,14 @@ class PartitionedNetwork:
                 self.sig_var[sig] = new_mgr.new_var(sig)
         self.mgr = new_mgr
         self.mapping_count += 1
-        # Var ids changed wholesale; every cached support is stale.
+        # Var ids changed wholesale: rebuild the whole index once.
+        self.refs = {}
         self._supports.clear()
+        self._fanout.clear()
+        self._sizes.clear()
+        self._sizes_swaps = new_mgr.perf.reorder_swaps
+        for name, ref in zip(names, result.refs):
+            self.set_ref(name, ref)
 
     # -- conversion back to a cube network --------------------------------
 

@@ -11,6 +11,7 @@ from repro.check.net_lint import (
     INV_DUPLICATE_OUTPUT,
     INV_FOREIGN_REF,
     INV_ORPHAN_NODE,
+    INV_PARTITION_INDEX,
     INV_UNDRIVEN_OUTPUT,
     lint_network,
     lint_partition,
@@ -118,6 +119,35 @@ def test_partition_lint_clean_and_foreign_ref():
     report = lint_partition(part, raise_on_violation=False)
     assert INV_FOREIGN_REF in report.invariants()
     assert name in {s for v in report.violations for s in v.signals}
+
+
+def test_partition_index_corrupt_fanout_entry():
+    part = PartitionedNetwork.from_network(parse_blif(GOOD))
+    part._fanout[part.sig_var["t"]].discard("y")
+    with pytest.raises(CheckError) as excinfo:
+        lint_partition(part)
+    assert excinfo.value.invariants == [INV_PARTITION_INDEX]
+    assert lint_partition(part, level="cheap").ok  # full level only
+
+
+def test_partition_index_corrupt_var_use_count():
+    # A variable no live node reads, left in the index, counts as used:
+    # pollution (1 - used variables / all variables) would read too low.
+    part = PartitionedNetwork.from_network(parse_blif(GOOD))
+    part._fanout[part.sig_var["y"]] = set()
+    with pytest.raises(CheckError) as excinfo:
+        lint_partition(part)
+    assert excinfo.value.invariants == [INV_PARTITION_INDEX]
+    assert "'y'" in str(excinfo.value)
+
+
+def test_partition_index_stale_support_and_size():
+    part = PartitionedNetwork.from_network(parse_blif(GOOD))
+    part._supports["y"] = {part.sig_var["c"]}
+    part._sizes["t"] += 1
+    report = lint_partition(part, raise_on_violation=False)
+    assert report.invariants() == [INV_PARTITION_INDEX]
+    assert {v.signals for v in report.violations} == {("y",), ("t",)}
 
 
 # ----------------------------------------------------------------------

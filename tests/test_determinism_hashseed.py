@@ -31,18 +31,26 @@ def _run_cli(args, seed, cwd):
     return res
 
 
+#: Verify mode per circuit (default cec).  The CEC budget leaves some
+#: C1355 outputs unproven (exit 2), so C1355 is verified by simulation.
+VERIFY_MODE = {"C1355": "sim"}
+
+
 #: rl_mux/add4 are the historical guards; rot and C880 come from Table I
 #: (rot once emitted hash-seed-dependent gensym numbering through an
 #: unsorted dependency-set DFS in trees_to_network -- the golden-digest
-#: tests caught it, this pins the fix end to end).
-@pytest.mark.parametrize("circuit", ["rl_mux", "add4", "rot", "C880"])
+#: tests caught it, this pins the fix end to end).  C1355 runs the
+#: longest eliminate of Table I, with five BDD mappings: the consumer
+#: order eliminate reads from its fanout index must not follow set order.
+@pytest.mark.parametrize("circuit", ["rl_mux", "add4", "rot", "C880", "C1355"])
 def test_flow_output_identical_across_hash_seeds(circuit, tmp_path):
     outputs = {}
     for seed in SEEDS:
         gen = tmp_path / ("%s_%s.blif" % (circuit, seed))
         opt = tmp_path / ("%s_%s_opt.blif" % (circuit, seed))
         _run_cli(["generate", circuit, "-o", str(gen)], seed, tmp_path)
-        _run_cli(["optimize", str(gen), "-o", str(opt), "--verify"],
+        _run_cli(["optimize", str(gen), "-o", str(opt),
+                  "--verify", VERIFY_MODE.get(circuit, "cec")],
                  seed, tmp_path)
         outputs[seed] = (gen.read_bytes(), opt.read_bytes())
     first = outputs[SEEDS[0]]

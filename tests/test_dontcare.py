@@ -6,7 +6,9 @@ import random
 from repro.bdd.traverse import node_count, support
 from repro.bds import BDSOptions, bds_optimize
 from repro.bds.dontcare import minimize_with_sdc
-from repro.network import Network
+from repro.check.net_lint import lint_partition
+from repro.circuits.registry import build_circuit
+from repro.network import Network, sweep
 from repro.network.eliminate import PartitionedNetwork
 from repro.sop.cube import lit
 from repro.verify import check_equivalence
@@ -83,6 +85,22 @@ class TestMinimizeWithSdc:
         assert check_equivalence(ref, back).equivalent
         # z should have been reduced to just s (support of one signal).
         assert len(support(part.mgr, part.refs["z"])) == 1
+
+    def test_fanin_signals_follow_minimized_nodes(self):
+        # The minimized refs must reach the partition's support cache:
+        # after eliminate has cached every support, SDC minimization of
+        # C432 drops fanins of several nodes.
+        net = build_circuit("C432")
+        sweep(net)
+        part = PartitionedNetwork.from_network(net)
+        part.eliminate(use_mapping=False)
+        assert minimize_with_sdc(part) > 0
+        stale = [name for name, ref in part.refs.items()
+                 if part.fanin_signals(name)
+                 != sorted(part.mgr.var_name(v)
+                           for v in support(part.mgr, ref))]
+        assert stale == []
+        lint_partition(part)
 
     def test_flow_option(self):
         net = _unreachable_pattern_network()

@@ -6,7 +6,10 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from repro.bdd.traverse import node_count, support
 from repro.bds import bds_optimize
+from repro.check.net_lint import lint_partition
+from repro.circuits.randlogic import random_logic
 from repro.mapping import map_network
 from repro.mapping.lut import map_luts
 from repro.network import (
@@ -16,9 +19,10 @@ from repro.network import (
     sweep,
     write_blif,
 )
-from repro.network.eliminate import eliminate_bdd
+from repro.network.eliminate import PartitionedNetwork, eliminate_bdd
 from repro.sis import script_rugged
 from repro.sop.cube import lit
+from repro.verify import simulate_equivalence
 
 N_INPUTS = 4
 
@@ -106,6 +110,39 @@ def test_eliminate_bdd_preserves_function(net, size_cap):
     # name on the original interface.
     assert back.outputs == net.outputs
     assert _truth(back) == before
+
+
+def _recomputed_fanouts(part):
+    """Signal -> consumers in ``refs`` order, from scratch."""
+    fanouts = {}
+    for name, ref in part.refs.items():
+        for var in support(part.mgr, ref):
+            fanouts.setdefault(part.mgr.var_name(var), []).append(name)
+    return fanouts
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(3, 8), st.integers(4, 40),
+       st.integers(-2, 4), st.sampled_from([3, 12, 60, 1000]),
+       st.booleans(), st.sampled_from([0, 24, 96]))
+def test_incremental_eliminate_index_matches_recomputation(
+        seed, n_inputs, n_gates, threshold, size_cap, use_mapping,
+        autoreorder):
+    net = random_logic(n_inputs, n_gates, n_outputs=3, seed=seed,
+                       xor_fraction=0.2)
+    part = PartitionedNetwork.from_network(net)
+    if autoreorder:
+        part.mgr.enable_autoreorder(autoreorder)
+    part.eliminate(threshold=threshold, size_cap=size_cap,
+                   use_mapping=use_mapping)
+    fanouts = _recomputed_fanouts(part)
+    assert part.fanouts() == fanouts
+    assert part._pollution() == 1.0 - len(fanouts) / part.mgr.num_vars
+    for name, ref in part.refs.items():
+        assert part._size_of(name) == node_count(part.mgr, ref)
+    lint_partition(part, level="full")
+    agree, cex = simulate_equivalence(net, part.to_network())
+    assert agree, cex
 
 
 @settings(max_examples=15, deadline=None)
