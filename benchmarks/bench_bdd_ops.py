@@ -122,11 +122,11 @@ _REORDER_CIRCUITS = ("C1355", "C499", "C880")
 def _global_sift_once(cname):
     """Build the monolithic global BDD of a circuit and sift it once."""
     from repro.circuits import build_circuit
-    from repro.verify.cec import _global_bdd, _initial_order
+    from repro.verify.cec import _global_bdd, structural_order
 
     net = build_circuit(cname)
     mgr = BDD()
-    var_of = {name: mgr.new_var(name) for name in _initial_order(net)}
+    var_of = {name: mgr.new_var(name) for name in structural_order(net)}
     cache = {}
     roots = []
     for out in net.outputs:

@@ -36,9 +36,9 @@ def main():
     print("standalone cone:", cone.stats())
 
     # Serialize the cone output's global BDD and read it back.
-    from repro.verify.cec import _global_bdd, _initial_order
+    from repro.verify.cec import _global_bdd, structural_order
     mgr = BDD()
-    var_of = {n: mgr.new_var(n) for n in _initial_order(cone)}
+    var_of = {n: mgr.new_var(n) for n in structural_order(cone)}
     ref = _global_bdd(mgr, cone, worst, var_of, {}, size_cap=100000)
     text = dumps(mgr, [ref])
     mgr2, (back,) = loads(text)

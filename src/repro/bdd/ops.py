@@ -1,5 +1,9 @@
 """Higher-order BDD operators built over the manager core.
 
+``cover_bdd`` builds the BDD of a sum-of-products cover over arbitrary
+fanin functions; it is the one cover-to-BDD builder of the verifier, the
+sweep and the BDS partition.
+
 ``and_exists`` is the classic relational product (conjunction fused with
 existential quantification, avoiding the intermediate conjunction blowup);
 it accelerates the image computations of the satisfiability don't-care
@@ -8,11 +12,119 @@ pass.  ``swap_vars`` and ``rename_vars`` are substitution conveniences.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.bdd.manager import BDD, ONE, ZERO
 
 _AND_EXISTS = 7
+
+#: A cube: a set of literals ``2 * fanin_position + negated`` (the
+#: :mod:`repro.sop.cube` encoding).
+Cube = FrozenSet[int]
+
+_EMPTY_CUBE: Cube = frozenset()
+
+
+def cover_bdd(mgr: BDD, cover: Iterable[Cube], fanin_refs: Sequence[int]) -> int:
+    """The BDD of the OR of ``cover``'s cubes over the ``fanin_refs``.
+
+    The cover is split on the fanin that occurs in the most cubes (ties:
+    lowest position) into ``ite(F_v, B(cubes with v, v dropped),
+    B(cubes with ~v, ~v dropped))``, and the cubes that do not mention
+    ``v`` are ORed onto that.  So XOR, XNOR and MUX covers cost one ITE
+    each, where ANDing every cube and ORing the results costs three ITEs
+    over the large operands; and because the split follows frequency, not
+    position, ``x1 y1 + ... + xn yn`` stays linear under any fanin order.
+    Literals common to every cube, and variable-disjoint cubes (AND and
+    OR chains), are folded on one by one, deepest fanin first, so the
+    chains grow linearly.  Sub-covers are memoised within the call.
+    """
+    memo: Dict[FrozenSet[Cube], int] = {}
+
+    def level(l: int) -> int:
+        return mgr.level(fanin_refs[l >> 1])
+
+    def literal_ite(l: int, g: int, h: int) -> int:
+        return _ite(mgr, fanin_refs[l >> 1] ^ (l & 1), g, h)
+
+    def cube_level(cube: Cube) -> int:
+        return min(level(l) for l in cube)
+
+    def build(cubes: FrozenSet[Cube]) -> int:
+        ref = memo.get(cubes)
+        if ref is not None:
+            return ref
+        # Result: AND of the peeled ``prefix`` literals with ``acc``, the
+        # OR of the split terms built so far (plus what ``pending`` adds).
+        prefix: List[int] = []
+        acc = ZERO
+        pending = cubes
+        while pending:
+            if _EMPTY_CUBE in pending:
+                acc = ONE
+                break
+            if acc == ZERO:
+                # Literals of every cube are peeled here rather than
+                # split on one by one: long shared products then cost
+                # neither quadratic counting nor Python stack.
+                common = frozenset.intersection(*pending)
+                if common:
+                    prefix.extend(sorted(common, key=lambda l: (level(l), l)))
+                    pending = frozenset(cube - common for cube in pending)
+                    continue
+            counts: Dict[int, int] = {}
+            for cube in pending:
+                for l in cube:
+                    counts[l >> 1] = counts.get(l >> 1, 0) + 1
+            top = max(counts.values())
+            if top == 1:
+                # cube | acc == l1 ? (l2 ? ... : acc) : acc, innermost
+                # (deepest) literal first.
+                for cube in sorted(pending, key=cube_level, reverse=True):
+                    r = ONE
+                    for l in sorted(cube, key=level, reverse=True):
+                        r = literal_ite(l, r, acc)
+                    acc = r
+                break
+            v = min(p for p, n in counts.items() if n == top)
+            pos, neg = 2 * v, 2 * v + 1
+            hi: List[Cube] = []
+            lo: List[Cube] = []
+            rest: List[Cube] = []
+            for cube in pending:
+                if pos in cube:
+                    if neg not in cube:  # a contradictory cube is empty
+                        hi.append(cube - {pos})
+                elif neg in cube:
+                    lo.append(cube - {neg})
+                else:
+                    rest.append(cube)
+            term = _ite(mgr, fanin_refs[v], build(frozenset(hi)),
+                        build(frozenset(lo)))
+            acc = term if acc == ZERO else mgr.or_(acc, term)
+            pending = frozenset(rest)
+        for l in reversed(prefix):
+            acc = literal_ite(l, acc, ZERO)
+        memo[cubes] = acc
+        return acc
+
+    return build(frozenset(cover))
+
+
+def _ite(mgr: BDD, f: int, g: int, h: int) -> int:
+    """``ite(f, g, h)``, without ITE calls when the result is ``f`` itself
+    or, ``f`` being a literal above both branches, a single ``mk``."""
+    if g == ONE and h == ZERO:
+        return f
+    if g == ZERO and h == ONE:
+        return f ^ 1
+    if mgr.is_var(f):
+        if f & 1:
+            f, g, h = f ^ 1, h, g
+        top = mgr.level(f)
+        if top < mgr.level(g) and top < mgr.level(h):
+            return mgr.mk(mgr.var_of(f), h, g)
+    return mgr.ite(f, g, h)
 
 
 def and_exists(mgr: BDD, f: int, g: int, variables: Iterable[int]) -> int:

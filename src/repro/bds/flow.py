@@ -81,7 +81,8 @@ class BDSOptions:
     # "full" is CEC plus a simulation cross-check of capped outputs.
     # A mismatch raises repro.verify.VerifyError with the counterexample;
     # capped outputs land in BDSResult.verify_unknown_outputs and the
-    # verify_outputs_checked / verify_unknown counters in BDSResult.perf.
+    # verify_outputs_checked / verify_unknown counters in BDSResult.perf,
+    # which also counts the CEC manager's kernel work.
     verify: str = "off"
     verify_size_cap: int = 2_000_000
     verify_seed: int = 1355
@@ -315,6 +316,7 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                     deadline=deadline,
                     subject="BDS result for %r" % net.name)
                 verify_unknown = outcome.unknown_outputs
+                ledger.add(outcome.perf)
                 ledger.add({
                     "verify_outputs_checked": float(outcome.outputs_checked),
                     "verify_unknown": float(len(outcome.unknown_outputs)),

@@ -91,21 +91,22 @@ def collapse_to_two_level(net: Network, max_cubes: int = 100000
     """Fully collapse the network: one SOP node per output over the PIs.
 
     Returns None when any output's cover would exceed ``max_cubes`` (the
-    classic two-level blowup).  Uses the BDD bridge (global BDD -> ISOP)
-    rather than cube substitution, which keeps the covers irredundant.
+    classic two-level blowup) or its global BDD exceeds the verifier's
+    work cap.  Uses the BDD bridge (global BDD -> ISOP) rather than cube
+    substitution, which keeps the covers irredundant.
     """
     from repro.bdd import BDD
     from repro.bdd.isop import isop
-    from repro.verify.cec import _global_bdd, _initial_order
+    from repro.verify.cec import DEFAULT_SIZE_CAP, _global_bdd, structural_order
 
     mgr = BDD()
-    var_of = {name: mgr.new_var(name) for name in _initial_order(net)}
+    var_of = {name: mgr.new_var(name) for name in structural_order(net)}
     out = Network(net.name + "_2lvl")
     for i in net.inputs:
         out.add_input(i)
     cache: Dict[str, Optional[int]] = {}
     for o in net.outputs:
-        ref = _global_bdd(mgr, net, o, var_of, cache, size_cap=max_cubes)
+        ref = _global_bdd(mgr, net, o, var_of, cache, DEFAULT_SIZE_CAP)
         if ref is None:
             return None
         if o in net.inputs:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.bdd import BDD, ONE, ZERO, transfer_many
+from repro.bdd import BDD, transfer_many
 from repro.bdd.isop import isop
+from repro.bdd.ops import cover_bdd
 from repro.bdd.traverse import node_count, shared_node_count, support_and_size
 from repro.network.network import Network, Node
 from repro.sop.cover import Cover, complement, remove_contained
@@ -186,13 +187,7 @@ class PartitionedNetwork:
             part.sig_var.setdefault(node.name, mgr.new_var(node.name))
         for node in net.topological():
             fanin_refs = [mgr.var_ref(part.sig_var[f]) for f in node.fanins]
-            acc = ZERO
-            for cube in node.cover:
-                term = ONE
-                for l in cube:
-                    term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
-                acc = mgr.or_(acc, term)
-            part.set_ref(node.name, acc)
+            part.set_ref(node.name, cover_bdd(mgr, node.cover, fanin_refs))
             # Safe GC point: every ref still needed is in part.refs (fanin
             # literal nodes are recreated on demand by var_ref).
             mgr.maybe_collect(part.refs.values())

@@ -219,6 +219,7 @@ def _merge_structural(net: Network) -> bool:
 def _merge_functional(net: Network, seed: int, bdd_cap: int) -> bool:
     """Merge nodes with identical global functions (signature + BDD proof)."""
     from repro.bdd import BDD
+    from repro.bdd.ops import cover_bdd
     from repro.bdd.traverse import node_count
 
     rng = random.Random(seed)
@@ -265,10 +266,8 @@ def _merge_functional(net: Network, seed: int, bdd_cap: int) -> bool:
 
     # Exact confirmation with bounded global BDDs (FORCE-ordered inputs
     # keep structured circuits like shifters from blowing the cap).
-    from repro.verify.cec import _initial_order
-
     mgr = BDD()
-    pi_var = {i: mgr.var_ref(mgr.new_var(i)) for i in _initial_order(net)}
+    pi_var = {i: mgr.var_ref(mgr.new_var(i)) for i in _force_order(net)}
     global_bdd: Dict[str, Optional[int]] = dict(pi_var)
 
     # Overall work budget: once the manager holds this many nodes, stop
@@ -288,25 +287,12 @@ def _merge_functional(net: Network, seed: int, bdd_cap: int) -> bool:
                 global_bdd[name] = None
                 return None
             fanin_refs.append(r)
-        from repro.bdd.manager import ZERO
-        acc = ZERO
-        for cube in node.cover:
-            term = 0  # ONE
-            for l in cube:
-                litref = fanin_refs[l >> 1] ^ (l & 1)
-                term = mgr.and_(term, litref)
-                if mgr.num_nodes_allocated > allocation_budget:
-                    global_bdd[name] = None
-                    return None
-            acc = mgr.or_(acc, term)
-            if mgr.num_nodes_allocated > allocation_budget:
-                global_bdd[name] = None
-                return None
-        if node_count(mgr, acc) > bdd_cap:
-            global_bdd[name] = None
-            return None
-        global_bdd[name] = acc
-        return acc
+        ref: Optional[int] = cover_bdd(mgr, node.cover, fanin_refs)
+        if (mgr.num_nodes_allocated > allocation_budget
+                or node_count(mgr, ref) > bdd_cap):
+            ref = None
+        global_bdd[name] = ref
+        return ref
 
     changed = False
     for group in candidates:
@@ -331,3 +317,27 @@ def _merge_functional(net: Network, seed: int, bdd_cap: int) -> bool:
     if changed:
         net.remove_dangling()
     return changed
+
+
+def _force_order(net: Network) -> List[str]:
+    """FORCE ordering of the primary inputs, one hyperedge per output.
+
+    A hyperedge is an output's transitive input support.
+    """
+    from repro.bdd import force_order
+
+    names = list(net.inputs)
+    index = {n: i for i, n in enumerate(names)}
+    groups = []
+    pi_support: Dict[str, set] = {i: {i} for i in net.inputs}
+    for node in net.topological():
+        supp = set()
+        for f in node.fanins:
+            supp |= pi_support.get(f, set())
+        pi_support[node.name] = supp
+    for out in net.outputs:
+        supp = pi_support.get(out, {out} if out in net.inputs else set())
+        if supp:
+            groups.append([index[s] for s in supp])
+    order_idx = force_order(groups, len(names))
+    return [names[i] for i in order_idx]

@@ -1,18 +1,24 @@
 """BDD-based combinational equivalence checking.
 
-Builds global BDDs (one manager, FORCE-derived initial order) for both
-networks output-by-output and compares canonical refs -- exactly how both
-BDS and SIS verify synthesis results (Section V).  A node-count cap guards
-against blowup; capped outputs are reported as ``unknown`` and should be
-cross-checked by simulation.
+Builds global BDDs of both networks output-by-output in one manager and
+compares canonical refs -- exactly how both BDS and SIS verify synthesis
+results (Section V).  The manager's variable order is
+:func:`structural_order`: primary inputs in the order a depth-first walk
+of the output cones first reaches them, which interleaves the operand
+bits of adders, comparators and shifters so their proofs stay polynomial.
+Each node's function comes from its cover through
+:func:`repro.bdd.ops.cover_bdd`.  A work cap guards against blowup;
+capped outputs are reported as ``unknown`` and should be cross-checked by
+simulation.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Set
 
-from repro.bdd import BDD, BddBudgetExceeded, ONE, ZERO, force_order
+from repro.bdd import BDD, BddBudgetExceeded
+from repro.bdd.ops import cover_bdd
 from repro.bdd.traverse import pick_assignment
 from repro.network.network import Network
 
@@ -23,11 +29,13 @@ class EquivalenceResult(NamedTuple):
     unknown_outputs: List[str]        # blew the size cap
     counterexample: Optional[Dict[str, bool]]
     failing_output: Optional[str]
+    perf: Dict[str, float]            # the CEC manager's perf_snapshot()
 
 
 #: Default per-output work budget (fresh node allocations).  Sized so every
 #: proof the test suite relies on completes (the worst, C432 optimized vs.
-#: original, needs ~600k) while still cutting off exponential blowups.
+#: original, needs ~50k for its worst output) while still cutting off
+#: exponential blowups.
 DEFAULT_SIZE_CAP = 2_000_000
 
 
@@ -52,10 +60,7 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
         raise ValueError("output sets differ")
 
     mgr = BDD()
-    order = _initial_order(a)
-    var_of: Dict[str, int] = {}
-    for name in order:
-        var_of[name] = mgr.new_var(name)
+    var_of = {name: mgr.new_var(name) for name in structural_order(a)}
 
     cache_a: Dict[str, Optional[int]] = {}
     cache_b: Dict[str, Optional[int]] = {}
@@ -74,30 +79,51 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
             diff = mgr.xor_(ref_a, ref_b)
             partial = pick_assignment(mgr, diff)
             cex = {name: partial.get(var_of[name], False) for name in a.inputs}
-            return EquivalenceResult(False, checked, unknown, cex, out)
+            return EquivalenceResult(False, checked, unknown, cex, out,
+                                     mgr.perf_snapshot())
         checked.append(out)
-    return EquivalenceResult(len(unknown) == 0, checked, unknown, None, None)
+    return EquivalenceResult(len(unknown) == 0, checked, unknown, None, None,
+                             mgr.perf_snapshot())
 
 
-def _initial_order(net: Network) -> List[str]:
-    """FORCE ordering over node supports for a decent global order."""
-    names = list(net.inputs)
-    index = {n: i for i, n in enumerate(names)}
-    groups = []
-    # Hyperedges: transitive input support of each node, approximated by
-    # direct PI fanins per node cone frontier (cheap but effective).
-    pi_support: Dict[str, set] = {i: {i} for i in net.inputs}
+def structural_order(net: Network) -> List[str]:
+    """The primary inputs in depth-first output-cone order.
+
+    A signal's depth is 0 for a primary input and 1 + the deepest fanin
+    for a node.  Outputs are walked deepest first (ties: output
+    position); each walk visits a node's fanins shallowest first (ties:
+    fanin position) and appends every input the first time it reaches
+    it.  Inputs no output reaches follow in ``net.inputs`` order.  The
+    bits an output's logic combines early therefore sit next to each
+    other -- ``a_i`` beside ``b_i`` in an adder -- which is the
+    interleaving under which adder-class proofs are polynomial.  The walk
+    is iterative and never iterates a set, so the order is the same under
+    every hash seed.
+    """
+    depth: Dict[str, int] = {name: 0 for name in net.inputs}
     for node in net.topological():
-        supp = set()
-        for f in node.fanins:
-            supp |= pi_support.get(f, set())
-        pi_support[node.name] = supp
-    for out in net.outputs:
-        supp = pi_support.get(out, {out} if out in net.inputs else set())
-        if supp:
-            groups.append([index[s] for s in supp])
-    order_idx = force_order(groups, len(names))
-    return [names[i] for i in order_idx]
+        depth[node.name] = 1 + max((depth[f] for f in node.fanins), default=0)
+    order: List[str] = []
+    seen: Set[str] = set()
+    outputs = sorted(range(len(net.outputs)),
+                     key=lambda k: (-depth.get(net.outputs[k], 0), k))
+    for k in outputs:
+        stack = [net.outputs[k]]
+        while stack:
+            name = stack.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            node = net.nodes.get(name)
+            if node is None:
+                if name in depth:  # a primary input
+                    order.append(name)
+                continue
+            # Pushed deepest first, so popped shallowest first (sorted()
+            # is stable: equal depths keep fanin position order).
+            stack.extend(reversed(sorted(node.fanins, key=depth.__getitem__)))
+    order.extend(name for name in net.inputs if name not in seen)
+    return order
 
 
 #: Allocation granularity of the abort check: the kernel interrupts the
@@ -132,17 +158,9 @@ def _global_bdd(mgr: BDD, net: Network, output: str, var_of: Dict[str, int],
         if ref is not None:
             return ref
         node = net.nodes[name]
-        fanin_refs = [build(f) for f in node.fanins]
-        acc = ZERO
-        for cube in node.cover:
-            term = ONE
-            for l in cube:
-                term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
-                if term == ZERO:
-                    break
-            acc = mgr.or_(acc, term)
-        cache[name] = acc
-        return acc
+        ref = cover_bdd(mgr, node.cover, [build(f) for f in node.fanins])
+        cache[name] = ref
+        return ref
 
     try:
         while True:

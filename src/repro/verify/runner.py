@@ -64,6 +64,8 @@ class VerifyOutcome:
     unknown_outputs: List[str] = field(default_factory=list)
     failing_output: Optional[str] = None
     counterexample: Optional[Dict[str, bool]] = None
+    # The CEC manager's perf_snapshot() (empty in mode "sim").
+    perf: Dict[str, float] = field(default_factory=dict)
 
     def describe(self) -> str:
         if not self.equivalent:
@@ -99,9 +101,11 @@ def verify_networks(spec: Network, impl: Network, mode: str = "cec",
                              outputs_checked=len(res.checked_outputs),
                              unknown_outputs=list(res.unknown_outputs),
                              failing_output=res.failing_output,
-                             counterexample=res.counterexample)
+                             counterexample=res.counterexample,
+                             perf=res.perf)
     if mode == "full" and res.unknown_outputs:
         sim = _simulate_outcome(spec, impl, "full", seed, rounds, width)
+        sim.perf = res.perf
         if not sim.equivalent:
             sim.outputs_checked = len(res.checked_outputs)
             sim.unknown_outputs = list(res.unknown_outputs)
@@ -110,11 +114,13 @@ def verify_networks(spec: Network, impl: Network, mode: str = "cec",
             # The cross-check was exhaustive: capped outputs are proven
             # after all, not merely unrefuted.
             return VerifyOutcome(mode, equivalent=True, proven=True,
-                                 outputs_checked=len(spec.outputs))
+                                 outputs_checked=len(spec.outputs),
+                                 perf=res.perf)
     return VerifyOutcome(mode, equivalent=True,
                          proven=not res.unknown_outputs,
                          outputs_checked=len(res.checked_outputs),
-                         unknown_outputs=list(res.unknown_outputs))
+                         unknown_outputs=list(res.unknown_outputs),
+                         perf=res.perf)
 
 
 def require_equivalent(spec: Network, impl: Network, mode: str = "cec",

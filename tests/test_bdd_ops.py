@@ -1,11 +1,20 @@
-"""Tests for the higher-order BDD operators and the delay-mode mapper."""
+"""Tests for the higher-order BDD operators (the cover builder included)
+and the delay-mode mapper."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDD, ONE, ZERO, and_exists, rename_vars, swap_vars
+from repro.bdd.ops import cover_bdd
 from repro.mapping import map_network
+from repro.network import Network
+from repro.network.eliminate import PartitionedNetwork
+from repro.network.sweep import sweep
+from repro.sop.cube import lit
+from repro.verify import check_equivalence
 
 
 @pytest.fixture
@@ -91,3 +100,160 @@ class TestDelayModeMapping:
         net = self._chain_network()
         with pytest.raises(ValueError):
             map_network(net, mode="power")
+
+
+# ----------------------------------------------------------------------
+# cover_bdd: the one cover -> BDD builder
+# ----------------------------------------------------------------------
+
+
+def _cube_by_cube(mgr, cover, fanin_refs):
+    """Reference semantics: AND every cube, OR the results."""
+    acc = ZERO
+    for cube in cover:
+        term = ONE
+        for l in cube:
+            term = mgr.and_(term, fanin_refs[l >> 1] ^ (l & 1))
+        acc = mgr.or_(acc, term)
+    return acc
+
+
+@st.composite
+def _covers(draw):
+    """(n, fanins, cover): fanin k is variable k or, when its pair flag is
+    set, variable k XOR variable k+1; either may be complemented.  The
+    cover may be empty and holds empty, duplicate and contained cubes."""
+    n = draw(st.integers(0, 8))
+    fanins = [(draw(st.booleans()), draw(st.booleans())) for _ in range(n)]
+    pos = st.integers(0, max(n - 1, 0))
+    cube = (st.dictionaries(pos, st.booleans(), max_size=n) if n
+            else st.just({}))
+    cover = [frozenset(lit(p, v) for p, v in c.items())
+             for c in draw(st.lists(cube, max_size=8))]
+    if cover:
+        index = st.integers(0, len(cover) - 1)
+        for k in draw(st.lists(index, max_size=2)):
+            cover.append(cover[k])
+        if n:
+            for k, p, v in draw(st.lists(st.tuples(index, pos, st.booleans()),
+                                         max_size=2)):
+                if lit(p, not v) not in cover[k]:
+                    cover.append(cover[k] | {lit(p, v)})
+    return n, fanins, cover
+
+
+class TestCoverBdd:
+    @settings(max_examples=150, deadline=None)
+    @given(_covers())
+    def test_matches_cube_by_cube_and_truth_table(self, case):
+        n, fanins, cover = case
+        mgr = BDD()
+        vs = [mgr.new_var() for _ in range(max(n, 1) + 1)]
+        refs = []
+        for k, (flip, pair) in enumerate(fanins):
+            ref = mgr.var_ref(vs[k])
+            if pair:
+                ref = mgr.xor_(ref, mgr.var_ref(vs[k + 1]))
+            refs.append(ref ^ flip)
+        got = cover_bdd(mgr, cover, refs)
+        assert got == _cube_by_cube(mgr, cover, refs)
+        for bits in itertools.product([False, True], repeat=len(vs)):
+            values = [bits[k] ^ (pair and bits[k + 1]) ^ flip
+                      for k, (flip, pair) in enumerate(fanins)]
+            want = any(all(values[l >> 1] != bool(l & 1) for l in cube)
+                       for cube in cover)
+            leaf = mgr.cofactor_cube(got, dict(zip(vs, bits)))
+            assert leaf == (ONE if want else ZERO)
+
+    def test_constant_covers(self, mgr):
+        a = mgr.var_ref(mgr.new_var("a"))
+        assert cover_bdd(mgr, [], [a]) == ZERO
+        assert cover_bdd(mgr, [frozenset()], [a]) == ONE
+        assert cover_bdd(mgr, [frozenset({lit(0)}), frozenset()], [a]) == ONE
+        assert cover_bdd(mgr, [frozenset({lit(0), lit(0, False)})], [a]) \
+            == ZERO
+
+    def test_sum_of_pairs_is_linear_in_any_fanin_order(self):
+        # x1 y1 + ... + x12 y12 under the interleaved variable order.
+        # Splitting on fanins in position order would need 2^12 ITEs when
+        # the x fanins come first; splitting on the most frequent fanin
+        # and ORing the rest stays linear.
+        n = 12
+        for positions in ("interleaved", "xs_first"):
+            mgr = BDD()
+            xs, ys = [], []
+            for i in range(n):
+                xs.append(mgr.var_ref(mgr.new_var("x%d" % i)))
+                ys.append(mgr.var_ref(mgr.new_var("y%d" % i)))
+            if positions == "interleaved":
+                refs = [r for pair in zip(xs, ys) for r in pair]
+                cover = [frozenset({lit(2 * i), lit(2 * i + 1)})
+                         for i in range(n)]
+            else:
+                refs = xs + ys
+                cover = [frozenset({lit(i), lit(n + i)}) for i in range(n)]
+            before = mgr.perf.ite_calls
+            got = cover_bdd(mgr, cover, refs)
+            assert mgr.perf.ite_calls - before <= 4 * n
+            assert got == _cube_by_cube(mgr, cover, refs)
+
+    @pytest.mark.parametrize("cover,op", [
+        ([frozenset({lit(0), lit(1, False)}),
+          frozenset({lit(0, False), lit(1)})],
+         lambda mgr, f, g, h: mgr.xor_(f, g)),
+        ([frozenset({lit(0), lit(1)}),
+          frozenset({lit(0, False), lit(1, False)})],
+         lambda mgr, f, g, h: mgr.xnor_(f, g)),
+        ([frozenset({lit(0), lit(1)}), frozenset({lit(0, False), lit(2)})],
+         lambda mgr, f, g, h: mgr.ite(f, g, h)),
+    ], ids=["xor", "xnor", "mux"])
+    def test_xor_xnor_mux_cost_one_ite(self, cover, op):
+        # Over non-literal operands a cube-by-cube build would pay two
+        # ANDs and an OR; the cover costs exactly its one ITE.
+        mgr = BDD()
+        vs = [mgr.var_ref(mgr.new_var()) for _ in range(6)]
+        refs = [mgr.and_(vs[0], vs[3]), mgr.or_(vs[1], vs[4]),
+                mgr.xor_(vs[2], vs[5])]
+        mgr.clear_cache()
+        before = mgr.perf.ite_calls
+        got = cover_bdd(mgr, cover, refs)
+        cost = mgr.perf.ite_calls - before
+        mgr.clear_cache()
+        before = mgr.perf.ite_calls
+        assert got == op(mgr, *refs)
+        assert cost == mgr.perf.ite_calls - before
+
+
+class TestWideNodes:
+    """A 2000-fanin AND node and a 2000-fanin OR node pass through every
+    user of cover_bdd (no quadratic chains, no Python recursion)."""
+
+    N = 2000
+
+    def _wide(self):
+        net = Network("wide")
+        names = [net.add_input("i%d" % k) for k in range(self.N)]
+        net.add_and("y_and", names)
+        net.add_or("y_or", names)
+        net.add_output("y_and")
+        net.add_output("y_or")
+        return net
+
+    def test_check_equivalence(self):
+        net = self._wide()
+        res = check_equivalence(net, net.copy())
+        assert res.equivalent
+        assert sorted(res.checked_outputs) == ["y_and", "y_or"]
+
+    def test_sweep(self):
+        net = self._wide()
+        swept = sweep(net.copy())
+        assert check_equivalence(net, swept).equivalent
+
+    def test_partitioned_network(self):
+        net = self._wide()
+        part = PartitionedNetwork.from_network(net)
+        mgr = part.mgr
+        inputs = [mgr.var_ref(part.sig_var[name]) for name in net.inputs]
+        assert part.refs["y_and"] == mgr.and_many(inputs)
+        assert part.refs["y_or"] == mgr.or_many(inputs)

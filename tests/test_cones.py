@@ -12,6 +12,7 @@ from repro.network.cones import (
     transitive_fanin,
     transitive_fanout,
 )
+from repro.sop.cube import lit
 from repro.verify import check_equivalence
 
 
@@ -99,3 +100,19 @@ class TestCollapse:
         flat = collapse_to_two_level(net)
         assert flat is not None
         assert flat.eval({"a": True})["a"] is True
+
+    def test_collapse_caps_cubes_not_bdd_work(self):
+        # A 12-input AND chain collapses to one cube.  Building its global
+        # BDD allocates more than three nodes, so a cap that also bounded
+        # the BDD work would refuse it.
+        net = Network("and_chain")
+        names = [net.add_input("x%d" % k) for k in range(12)]
+        prev = names[0]
+        for k in range(1, 12):
+            prev = net.add_and("t%d" % k, [prev, names[k]])
+        net.add_output(prev)
+        flat = collapse_to_two_level(net, max_cubes=3)
+        assert flat is not None
+        assert flat.nodes[prev].cover == [
+            frozenset(lit(k) for k in range(12))]
+        assert check_equivalence(net, flat).equivalent

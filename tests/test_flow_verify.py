@@ -5,6 +5,8 @@ import pytest
 import repro.bds.flow as flow_mod
 from repro.bds import BDSOptions, bds_optimize
 from repro.circuits import build_circuit
+from repro.obs.trace import Tracer
+from repro.perf import DERIVED_KEYS, PEAK_KEYS
 from repro.verify import VerifyError
 
 
@@ -67,3 +69,18 @@ class TestFlowVerify:
         assert result.verify_unknown_outputs
         assert result.perf["verify_unknown"] == len(
             result.verify_unknown_outputs)
+
+    def test_verify_span_counts_the_proof_work(self):
+        # The CEC manager's kernel counters reach BDSResult.perf inside
+        # the flow.verify span, so the phase deltas still partition it.
+        result = bds_optimize(build_circuit("add32"),
+                              BDSOptions(verify="cec"), tracer=Tracer())
+        phases = result.trace.children
+        verify = [s for s in phases if s.name == "flow.verify"][0]
+        assert verify.counters.get("ite_calls", 0) > 0
+        assert verify.counters.get("nodes_allocated", 0) > 0
+        for key, want in result.perf.items():
+            if key in PEAK_KEYS or key in DERIVED_KEYS:
+                continue
+            got = sum(s.counters.get(key, 0) for s in phases)
+            assert got == pytest.approx(want), key

@@ -59,7 +59,7 @@ class TestVerifierEdges:
     def test_result_is_namedtuple(self):
         assert EquivalenceResult._fields == (
             "equivalent", "checked_outputs", "unknown_outputs",
-            "counterexample", "failing_output")
+            "counterexample", "failing_output", "perf")
 
 
 class TestEliminateEdges:

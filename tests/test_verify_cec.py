@@ -1,8 +1,14 @@
 """Tests for the equivalence checkers: BDD CEC edge cases, exhaustive
 simulation, and the unified verify runner."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.bds import bds_optimize
 from repro.circuits import build_circuit
 from repro.network import Network, parse_blif
 from repro.sop.cube import lit
@@ -14,6 +20,9 @@ from repro.verify import (
     simulate_equivalence,
     verify_networks,
 )
+from repro.verify.cec import structural_order
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _corrupted_add4():
@@ -150,3 +159,65 @@ class TestVerifyRunner:
         net = build_circuit("add4")
         with pytest.raises(ValueError):
             verify_networks(net, net.copy(), mode="nope")
+
+
+class TestStructuralOrder:
+    """The CEC manager's structural variable order keeps adder-class and
+    shifter proofs polynomial: each bound below is about twice what the
+    proof allocates."""
+
+    @staticmethod
+    def _optimized(name):
+        net = build_circuit(name)
+        return net, bds_optimize(net).network
+
+    def test_bshift16_proves_under_a_small_cap(self):
+        net, opt = self._optimized("bshift16")
+        res = check_equivalence(net, opt, size_cap=5000)
+        assert res.equivalent
+        assert not res.unknown_outputs
+        assert len(res.checked_outputs) == 16
+
+    @pytest.mark.parametrize("name,bound", [("add64", 1400),
+                                            ("C432", 165_000)])
+    def test_proof_allocations_stay_bounded(self, name, bound):
+        net, opt = self._optimized(name)
+        res = check_equivalence(net, opt)
+        assert res.equivalent
+        assert 0 < res.perf["nodes_allocated"] <= bound
+
+    def test_adder_operands_interleave(self):
+        net = build_circuit("add8")
+        order = structural_order(net)
+        pos = {name: k for k, name in enumerate(order)}
+        for i in range(8):
+            assert abs(pos["a%d" % i] - pos["b%d" % i]) == 1
+
+    @pytest.mark.parametrize("name", ["C432", "bshift16", "cmp8"])
+    def test_order_is_a_permutation_of_the_inputs(self, name):
+        net = build_circuit(name)
+        order = structural_order(net)
+        assert sorted(order) == sorted(net.inputs)
+        assert len(order) == len(net.inputs)
+
+    def test_unreached_inputs_follow_in_input_order(self):
+        net = Network("partial")
+        for name in ("u", "x", "v", "y"):
+            net.add_input(name)
+        net.add_and("o", ["y", "x"])
+        net.add_output("o")
+        assert structural_order(net) == ["y", "x", "u", "v"]
+
+    def test_order_ignores_the_hash_seed(self):
+        script = ("import json; from repro.circuits import build_circuit; "
+                  "from repro.verify.cec import structural_order; "
+                  "print(json.dumps([structural_order(build_circuit(c)) "
+                  "for c in ('C432', 'C880', 'add32', 'bshift16')]))")
+        orders = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+            res = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            orders.append(json.loads(res.stdout))
+        assert orders[0] == orders[1]
