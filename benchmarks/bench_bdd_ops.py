@@ -122,7 +122,8 @@ _REORDER_CIRCUITS = ("C1355", "C499", "C880")
 def _global_sift_once(cname):
     """Build the monolithic global BDD of a circuit and sift it once."""
     from repro.circuits import build_circuit
-    from repro.verify.cec import _global_bdd, structural_order
+    from repro.network.cones import structural_order
+    from repro.verify.cec import _global_bdd
 
     net = build_circuit(cname)
     mgr = BDD()

@@ -20,7 +20,7 @@ The constant ``ONE`` is ref ``0`` and ``ZERO`` is its complement, ref ``1``.
 from repro.bdd.manager import BDD, ONE, ZERO, TERMINAL, BddBudgetExceeded
 from repro.bdd.ops import and_exists, rename_vars, swap_vars
 from repro.bdd.transfer import transfer, transfer_many
-from repro.bdd.reorder import sift, random_order, force_order
+from repro.bdd.reorder import sift, random_order
 from repro.bdd.dot import to_dot
 
 __all__ = [
@@ -36,6 +36,5 @@ __all__ = [
     "transfer_many",
     "sift",
     "random_order",
-    "force_order",
     "to_dot",
 ]

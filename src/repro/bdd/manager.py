@@ -288,9 +288,6 @@ class BDD:
         lo, hi = self._lo[idx], self._hi[idx]
         return (lo == ZERO and hi == ONE) or (lo == ONE and hi == ZERO)
 
-    def is_complemented(self, ref: int) -> bool:
-        return bool(ref & 1)
-
     def children(self, ref: int) -> Tuple[int, int]:
         """Phase-corrected (else, then) child refs of ``ref``.
 
@@ -860,11 +857,6 @@ class BDD:
         """True while a reorder session (sift/window pass) is active."""
         return self._reorder_session is not None
 
-    def level_size(self, level: int) -> int:
-        """Allocated non-dead nodes labelled with the variable at ``level``
-        (exact live count at reorder safe points)."""
-        return self._var_counts[self._level2var[level]]
-
     def begin_reorder(self, roots: Sequence[int],
                       interactions: bool = True) -> int:
         """Open a reorder session: collect garbage so that every allocated
@@ -968,9 +960,6 @@ class BDD:
     def clear_cache(self) -> None:
         """Drop the computed table (unique table is kept)."""
         self._cache.clear()
-
-    def cache_size(self) -> int:
-        return self._cache.valid_entries()
 
     def perf_snapshot(self) -> Dict[str, float]:
         """Kernel-health counters as a flat dict (see ``repro.perf``)."""

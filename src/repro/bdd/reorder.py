@@ -11,9 +11,6 @@ logic simplification", Section IV-C).  We implement:
   to complement edges: new *then* children are always regular).
 * :func:`sift` -- full sifting over live size measured from a root set.
 * :func:`window3` -- exhaustive window-permutation reordering.
-* :func:`force_order` -- the FORCE (hypergraph barycenter) heuristic for a
-  good *initial* order of a multi-rooted collection, used when building
-  local BDDs for a partitioned network.
 * :func:`random_order` -- for tests.
 
 Sifting and window passes run inside a manager *reorder session*
@@ -473,33 +470,3 @@ AUTOREORDER_METHODS: Dict[str, Callable[[BDD, List[int]], int]] = {
     "sift": lambda mgr, roots: sift(mgr, roots),
     "window3": lambda mgr, roots: window3(mgr, roots, passes=1),
 }
-
-
-def force_order(var_groups: Iterable[Sequence[int]], num_vars: int,
-                iterations: int = 20) -> List[int]:
-    """FORCE ordering heuristic over a hypergraph of variable groups.
-
-    ``var_groups`` are hyperedges (e.g. the supports of each output or each
-    network node).  Returns a variable order (list of var ids, top first)
-    that tends to keep tightly connected variables adjacent -- a cheap,
-    effective initial order for multi-rooted BDD construction.
-    """
-    groups = [list(g) for g in var_groups if g]
-    position = {v: float(i) for i, v in enumerate(range(num_vars))}
-    for _ in range(iterations):
-        centers: List[float] = []
-        for g in groups:
-            centers.append(sum(position[v] for v in g) / len(g))
-        pull: Dict[int, List[float]] = {}
-        for g, c in zip(groups, centers):
-            for v in g:
-                pull.setdefault(v, []).append(c)
-        new_pos: Dict[int, float] = {}
-        for v in range(num_vars):
-            if v in pull:
-                new_pos[v] = sum(pull[v]) / len(pull[v])
-            else:
-                new_pos[v] = position[v]
-        ranked = sorted(range(num_vars), key=lambda v: new_pos[v])
-        position = {v: float(i) for i, v in enumerate(ranked)}
-    return sorted(range(num_vars), key=lambda v: position[v])

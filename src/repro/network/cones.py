@@ -1,15 +1,17 @@
-"""Network cone analysis: transitive fanin cones, MFFCs, cone extraction
-and full collapsing.
+"""Network cone analysis: transitive fanin cones, MFFCs, cone extraction,
+the structural input order and full collapsing.
 
 These are the standard structural queries of a logic-synthesis network
 package: the BDS paper's eliminate reasons about supernode granularity,
 and any downstream user of this library (mappers, verifiers, partitioners)
-needs cones and maximum fanout-free cones (MFFCs).
+needs cones and maximum fanout-free cones (MFFCs).  Every global BDD the
+package builds (sweep's merge proofs, CEC, full collapsing) orders its
+variables by :func:`structural_order`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.network.network import Network
 from repro.sop.cube import lit
@@ -86,6 +88,46 @@ def extract_cone(net: Network, outputs: Sequence[str],
     return out
 
 
+def structural_order(net: Network) -> List[str]:
+    """The primary inputs in depth-first output-cone order.
+
+    A signal's depth is 0 for a primary input and 1 + the deepest fanin
+    for a node.  Outputs are walked deepest first (ties: output
+    position); each walk visits a node's fanins shallowest first (ties:
+    fanin position) and appends every input the first time it reaches
+    it.  Inputs no output reaches follow in ``net.inputs`` order.  The
+    bits an output's logic combines early therefore sit next to each
+    other -- ``a_i`` beside ``b_i`` in an adder -- which is the
+    interleaving under which adder-class proofs are polynomial.  The walk
+    is iterative and never iterates a set, so the order is the same under
+    every hash seed.
+    """
+    depth: Dict[str, int] = {name: 0 for name in net.inputs}
+    for node in net.topological():
+        depth[node.name] = 1 + max((depth[f] for f in node.fanins), default=0)
+    order: List[str] = []
+    seen: Set[str] = set()
+    outputs = sorted(range(len(net.outputs)),
+                     key=lambda k: (-depth.get(net.outputs[k], 0), k))
+    for k in outputs:
+        stack = [net.outputs[k]]
+        while stack:
+            name = stack.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            node = net.nodes.get(name)
+            if node is None:
+                if name in depth:  # a primary input
+                    order.append(name)
+                continue
+            # Pushed deepest first, so popped shallowest first (sorted()
+            # is stable: equal depths keep fanin position order).
+            stack.extend(reversed(sorted(node.fanins, key=depth.__getitem__)))
+    order.extend(name for name in net.inputs if name not in seen)
+    return order
+
+
 def collapse_to_two_level(net: Network, max_cubes: int = 100000
                           ) -> Optional[Network]:
     """Fully collapse the network: one SOP node per output over the PIs.
@@ -97,7 +139,7 @@ def collapse_to_two_level(net: Network, max_cubes: int = 100000
     """
     from repro.bdd import BDD
     from repro.bdd.isop import isop
-    from repro.verify.cec import DEFAULT_SIZE_CAP, _global_bdd, structural_order
+    from repro.verify.cec import DEFAULT_SIZE_CAP, _global_bdd
 
     mgr = BDD()
     var_of = {name: mgr.new_var(name) for name in structural_order(net)}

@@ -13,13 +13,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+from repro.network.cones import structural_order
 from repro.network.network import Network, Node
 from repro.sop.cover import cover_cofactor
 from repro.sop.cube import lit
 
 
-def sweep(net: Network, merge_equivalent: bool = True, seed: int = 2000,
-          bdd_cap: int = 500) -> Network:
+def sweep(net: Network, merge_equivalent: bool = True) -> Network:
     """Sweep the network in place; returns it for chaining."""
     changed = True
     passes = 0
@@ -34,7 +34,7 @@ def sweep(net: Network, merge_equivalent: bool = True, seed: int = 2000,
         if net.remove_dangling():
             changed = True
     if merge_equivalent:
-        if _merge_functional(net, seed=seed, bdd_cap=bdd_cap):
+        if _merge_functional(net):
             # Merging can expose more constants/buffers.
             sweep(net, merge_equivalent=False)
     net.check()
@@ -216,33 +216,32 @@ def _merge_structural(net: Network) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _merge_functional(net: Network, seed: int, bdd_cap: int) -> bool:
+#: Simulation signatures: one ``_SIM_WIDTH``-bit random word per input,
+#: drawn from a generator seeded with ``_SIM_SEED``.
+_SIM_SEED = 2000
+_SIM_WIDTH = 256
+
+#: Proof budget: a node whose global BDD exceeds ``_BDD_CAP`` nodes is not
+#: proven, and once the manager has allocated ``_ALLOCATION_BUDGET`` fresh
+#: nodes no further node is built (the sweep is an optimization, not a must).
+_BDD_CAP = 500
+_ALLOCATION_BUDGET = 40 * _BDD_CAP
+
+
+def _merge_functional(net: Network) -> bool:
     """Merge nodes with identical global functions (signature + BDD proof)."""
     from repro.bdd import BDD
     from repro.bdd.ops import cover_bdd
     from repro.bdd.traverse import node_count
 
-    rng = random.Random(seed)
-    width = 256
-    words: Dict[str, int] = {
-        i: rng.getrandbits(width) for i in net.inputs
-    }
-    values = dict(words)
-    topo = net.topological()
-    mask = (1 << width) - 1
-    for node in topo:
-        fanin_words = [values[f] for f in node.fanins]
-        acc = 0
-        for cube in node.cover:
-            term = mask
-            for l in cube:
-                w = fanin_words[l >> 1]
-                term &= (w ^ mask) if (l & 1) else w
-            acc |= term
-        values[node.name] = acc
+    rng = random.Random(_SIM_SEED)
+    words = {i: rng.getrandbits(_SIM_WIDTH) for i in net.inputs}
+    values = net.eval_words(words, _SIM_WIDTH)
 
+    # ``values`` lists inputs, then nodes in topological order, so each
+    # group's keeper (its first member) is never in a later member's fanout.
     groups: Dict[int, List[str]] = {}
-    for name in [*net.inputs, *(n.name for n in topo)]:
+    for name in values:
         groups.setdefault(values[name], []).append(name)
 
     candidates = []
@@ -264,20 +263,17 @@ def _merge_functional(net: Network, seed: int, bdd_cap: int) -> bool:
     if not candidates:
         return False
 
-    # Exact confirmation with bounded global BDDs (FORCE-ordered inputs
-    # keep structured circuits like shifters from blowing the cap).
+    # Exact confirmation with bounded global BDDs over the structural
+    # input order, which interleaves the operand bits of adders and
+    # shifters the way CEC's proofs do.
     mgr = BDD()
-    pi_var = {i: mgr.var_ref(mgr.new_var(i)) for i in _force_order(net)}
-    global_bdd: Dict[str, Optional[int]] = dict(pi_var)
-
-    # Overall work budget: once the manager holds this many nodes, stop
-    # proving equivalences (the sweep is an optimization, not a must).
-    allocation_budget = 40 * bdd_cap
+    global_bdd: Dict[str, Optional[int]] = {
+        i: mgr.var_ref(mgr.new_var(i)) for i in structural_order(net)}
 
     def build(name: str) -> Optional[int]:
         if name in global_bdd:
             return global_bdd[name]
-        if mgr.num_nodes_allocated > allocation_budget:
+        if mgr.perf.nodes_allocated > _ALLOCATION_BUDGET:
             return None
         node = net.nodes[name]
         fanin_refs = []
@@ -288,8 +284,8 @@ def _merge_functional(net: Network, seed: int, bdd_cap: int) -> bool:
                 return None
             fanin_refs.append(r)
         ref: Optional[int] = cover_bdd(mgr, node.cover, fanin_refs)
-        if (mgr.num_nodes_allocated > allocation_budget
-                or node_count(mgr, ref) > bdd_cap):
+        if (mgr.perf.nodes_allocated > _ALLOCATION_BUDGET
+                or node_count(mgr, ref) > _BDD_CAP):
             ref = None
         global_bdd[name] = ref
         return ref
@@ -318,26 +314,3 @@ def _merge_functional(net: Network, seed: int, bdd_cap: int) -> bool:
         net.remove_dangling()
     return changed
 
-
-def _force_order(net: Network) -> List[str]:
-    """FORCE ordering of the primary inputs, one hyperedge per output.
-
-    A hyperedge is an output's transitive input support.
-    """
-    from repro.bdd import force_order
-
-    names = list(net.inputs)
-    index = {n: i for i, n in enumerate(names)}
-    groups = []
-    pi_support: Dict[str, set] = {i: {i} for i in net.inputs}
-    for node in net.topological():
-        supp = set()
-        for f in node.fanins:
-            supp |= pi_support.get(f, set())
-        pi_support[node.name] = supp
-    for out in net.outputs:
-        supp = pi_support.get(out, {out} if out in net.inputs else set())
-        if supp:
-            groups.append([index[s] for s in supp])
-    order_idx = force_order(groups, len(names))
-    return [names[i] for i in order_idx]

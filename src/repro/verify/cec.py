@@ -3,9 +3,10 @@
 Builds global BDDs of both networks output-by-output in one manager and
 compares canonical refs -- exactly how both BDS and SIS verify synthesis
 results (Section V).  The manager's variable order is
-:func:`structural_order`: primary inputs in the order a depth-first walk
-of the output cones first reaches them, which interleaves the operand
-bits of adders, comparators and shifters so their proofs stay polynomial.
+:func:`repro.network.cones.structural_order`: primary inputs in the order
+a depth-first walk of the output cones first reaches them, which
+interleaves the operand bits of adders, comparators and shifters so their
+proofs stay polynomial.
 Each node's function comes from its cover through
 :func:`repro.bdd.ops.cover_bdd`.  A work cap guards against blowup;
 capped outputs are reported as ``unknown`` and should be cross-checked by
@@ -15,11 +16,12 @@ simulation.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.bdd import BDD, BddBudgetExceeded
 from repro.bdd.ops import cover_bdd
 from repro.bdd.traverse import pick_assignment
+from repro.network.cones import structural_order
 from repro.network.network import Network
 
 
@@ -34,7 +36,7 @@ class EquivalenceResult(NamedTuple):
 
 #: Default per-output work budget (fresh node allocations).  Sized so every
 #: proof the test suite relies on completes (the worst, C432 optimized vs.
-#: original, needs ~50k for its worst output) while still cutting off
+#: original, needs ~55k for its worst output) while still cutting off
 #: exponential blowups.
 DEFAULT_SIZE_CAP = 2_000_000
 
@@ -84,46 +86,6 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
         checked.append(out)
     return EquivalenceResult(len(unknown) == 0, checked, unknown, None, None,
                              mgr.perf_snapshot())
-
-
-def structural_order(net: Network) -> List[str]:
-    """The primary inputs in depth-first output-cone order.
-
-    A signal's depth is 0 for a primary input and 1 + the deepest fanin
-    for a node.  Outputs are walked deepest first (ties: output
-    position); each walk visits a node's fanins shallowest first (ties:
-    fanin position) and appends every input the first time it reaches
-    it.  Inputs no output reaches follow in ``net.inputs`` order.  The
-    bits an output's logic combines early therefore sit next to each
-    other -- ``a_i`` beside ``b_i`` in an adder -- which is the
-    interleaving under which adder-class proofs are polynomial.  The walk
-    is iterative and never iterates a set, so the order is the same under
-    every hash seed.
-    """
-    depth: Dict[str, int] = {name: 0 for name in net.inputs}
-    for node in net.topological():
-        depth[node.name] = 1 + max((depth[f] for f in node.fanins), default=0)
-    order: List[str] = []
-    seen: Set[str] = set()
-    outputs = sorted(range(len(net.outputs)),
-                     key=lambda k: (-depth.get(net.outputs[k], 0), k))
-    for k in outputs:
-        stack = [net.outputs[k]]
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            node = net.nodes.get(name)
-            if node is None:
-                if name in depth:  # a primary input
-                    order.append(name)
-                continue
-            # Pushed deepest first, so popped shallowest first (sorted()
-            # is stable: equal depths keep fanin position order).
-            stack.extend(reversed(sorted(node.fanins, key=depth.__getitem__)))
-    order.extend(name for name in net.inputs if name not in seen)
-    return order
 
 
 #: Allocation granularity of the abort check: the kernel interrupts the

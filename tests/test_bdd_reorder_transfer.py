@@ -11,7 +11,6 @@ import random
 
 from repro.bdd import BDD, ZERO, transfer, transfer_many
 from repro.bdd.reorder import (
-    force_order,
     move_var_to_level,
     random_order,
     sift,
@@ -189,17 +188,3 @@ class TestTransfer:
         g = src.not_(f)
         result = transfer_many(src, [f, g])
         assert result.refs[0] == result.refs[1] ^ 1
-
-
-class TestForceOrder:
-    def test_groups_cluster(self):
-        # Two independent clusters {0,1,2} and {3,4,5} must not interleave.
-        order = force_order([[0, 1, 2], [3, 4, 5], [0, 2], [3, 5]], 6)
-        pos = {v: i for i, v in enumerate(order)}
-        cluster1 = sorted(pos[v] for v in (0, 1, 2))
-        cluster2 = sorted(pos[v] for v in (3, 4, 5))
-        assert cluster1[-1] < cluster2[0] or cluster2[-1] < cluster1[0]
-
-    def test_all_vars_present(self):
-        order = force_order([[1, 3]], 5)
-        assert sorted(order) == [0, 1, 2, 3, 4]

@@ -89,8 +89,8 @@ class TestMinimizeWithSdc:
     def test_fanin_signals_follow_minimized_nodes(self):
         # The minimized refs must reach the partition's support cache:
         # after eliminate has cached every support, SDC minimization of
-        # C432 drops fanins of several nodes.
-        net = build_circuit("C432")
+        # C880 drops fanins of several nodes (8 after the default sweep).
+        net = build_circuit("C880")
         sweep(net)
         part = PartitionedNetwork.from_network(net)
         part.eliminate(use_mapping=False)

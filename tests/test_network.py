@@ -84,6 +84,16 @@ class TestEvaluation:
             assert bool((result["sum"] >> i) & 1) == out["sum"]
             assert bool((result["cout"] >> i) & 1) == out["cout"]
 
+    def test_word_simulation_returns_internal_nodes(self):
+        net = full_adder()
+        words = {"a": 0b0011, "b": 0b0101, "cin": 0b0000}
+        result = net.eval_words(words, width=4)
+        assert set(result) == set(net.inputs) | set(net.nodes)
+        assert result["t"] == 0b0110      # a ^ b
+        assert result["ab"] == 0b0001     # a & b
+        assert result["tc"] == 0b0000     # t & cin
+        assert result["a"] == 0b0011
+
     def test_mux_helper(self):
         net = Network()
         for n in ("s", "a", "b"):

@@ -20,7 +20,7 @@ from repro.verify import (
     simulate_equivalence,
     verify_networks,
 )
-from repro.verify.cec import structural_order
+from repro.network.cones import structural_order
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -210,7 +210,7 @@ class TestStructuralOrder:
 
     def test_order_ignores_the_hash_seed(self):
         script = ("import json; from repro.circuits import build_circuit; "
-                  "from repro.verify.cec import structural_order; "
+                  "from repro.network.cones import structural_order; "
                   "print(json.dumps([structural_order(build_circuit(c)) "
                   "for c in ('C432', 'C880', 'add32', 'bshift16')]))")
         orders = []
