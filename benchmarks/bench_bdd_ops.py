@@ -131,7 +131,7 @@ def _global_sift_once(cname):
     cache = {}
     roots = []
     for out in net.outputs:
-        ref = _global_bdd(mgr, net, out, var_of, cache, size_cap=10 ** 9)
+        ref = _global_bdd(mgr, net, out, var_of, cache)
         roots.append(mgr.register_root(ref))
     before = live_node_count(mgr, roots)
     t0 = time.perf_counter()

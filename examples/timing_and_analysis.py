@@ -40,7 +40,7 @@ def main():
     from repro.verify.cec import _global_bdd
     mgr = BDD()
     var_of = {n: mgr.new_var(n) for n in structural_order(cone)}
-    ref = _global_bdd(mgr, cone, worst, var_of, {}, size_cap=100000)
+    ref = _global_bdd(mgr, cone, worst, var_of, {})
     text = dumps(mgr, [ref])
     mgr2, (back,) = loads(text)
     print("BDD dump: %d lines, reload %s"

@@ -539,12 +539,6 @@ class BDD:
     def xnor_(self, f: int, g: int) -> int:
         return self.ite(f, g, g ^ 1)
 
-    def nand_(self, f: int, g: int) -> int:
-        return self.and_(f, g) ^ 1
-
-    def nor_(self, f: int, g: int) -> int:
-        return self.or_(f, g) ^ 1
-
     def implies(self, f: int, g: int) -> int:
         return self.ite(f, g, ONE)
 
@@ -630,13 +624,6 @@ class BDD:
             )
         self._cache.insert(key, r)
         return r
-
-    def cofactor_cube(self, f: int, assignment: Dict[int, bool]) -> int:
-        """Cofactor with respect to several variable assignments."""
-        out = f
-        for var, value in assignment.items():
-            out = self.cofactor(out, var, value)
-        return out
 
     def compose(self, f: int, var: int, g: int) -> int:
         """Substitute function ``g`` for variable ``var`` in ``f``."""

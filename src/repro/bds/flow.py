@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -38,6 +37,13 @@ from repro.network.eliminate import PartitionedNetwork
 from repro.obs.trace import CounterSource, Span, Tracer
 from repro.perf import merge_snapshots
 from repro.verify import VERIFY_MODES, require_equivalent
+
+
+#: Default CEC budget per literal of the input plus optimized network.
+#: C1355's proof needs ~20 allocations per literal; C432 (~173) and C6288
+#: (~65) leave some outputs unproven at this rate, and "full" mode
+#: cross-checks those by simulation.
+_VERIFY_ALLOCS_PER_LITERAL = 24
 
 
 @dataclass
@@ -77,20 +83,20 @@ class BDSOptions:
     check_level: str = "off"
     # First-class result verification (Section V): compare the optimized
     # network against the input inside the flow.  "sim" simulates
-    # (exhaustive <= 12 inputs), "cec" builds global BDDs with a size cap,
-    # "full" is CEC plus a simulation cross-check of capped outputs.
-    # A mismatch raises repro.verify.VerifyError with the counterexample;
-    # capped outputs land in BDSResult.verify_unknown_outputs and the
+    # (exhaustive <= 12 inputs), "cec" builds global BDDs within an
+    # allocation budget, "full" is CEC plus a simulation cross-check of
+    # the outputs the budget left unproven.  A mismatch raises
+    # repro.verify.VerifyError with the counterexample; unproven outputs
+    # land in BDSResult.verify_unknown_outputs and the
     # verify_outputs_checked / verify_unknown counters in BDSResult.perf,
     # which also counts the CEC manager's kernel work.
     verify: str = "off"
-    verify_size_cap: int = 2_000_000
     verify_seed: int = 1355
-    # Wall-clock budget (seconds) for the BDD proof attempt.  None means
-    # "as long as the flow itself took" -- verification then never
-    # dominates the run, and outputs not proven in time are cross-checked
-    # by simulation in mode "full".  Use float("inf") for an unbounded
-    # proof attempt.
+    # Work budget of the BDD proof attempt, in fresh node allocations.
+    # None means _VERIFY_ALLOCS_PER_LITERAL per literal of the input and
+    # the optimized network -- a number fixed by the two networks, so the
+    # verdict is the same on every run, machine and ``jobs`` setting.
+    # Use float("inf") for an unbounded proof attempt.
     verify_budget: Optional[float] = None
 
     #: Fields that never change the optimized network or its verdict:
@@ -149,7 +155,7 @@ class BDSResult:
     # Aggregated kernel perf counters (cache hit rate, GC sweeps, peak live
     # nodes, ...) from every manager the flow touched; see repro.perf.
     perf: Dict[str, float] = field(default_factory=dict)
-    # Outputs the size-capped verifier could not prove (verify="cec"/"full").
+    # Outputs the budgeted verifier could not prove (verify="cec"/"full").
     verify_unknown_outputs: List[str] = field(default_factory=list)
     # Root span of the flow's trace (see repro.obs.trace and
     # docs/OBSERVABILITY.md): "flow", or "flow.cache_lookup" on a cache
@@ -303,17 +309,11 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
 
         verify_unknown: List[str] = []
         if opts.verify != "off":
-            budget = opts.verify_budget
-            if budget is None:
-                budget = max(0.05, 0.8 * sum(_phase_timings(root).values()))
             with tr.span("flow.verify", mode=opts.verify):
-                deadline = (None if budget == float("inf")
-                            else time.monotonic() + budget)
                 outcome = require_equivalent(
                     net, gate_net, mode=opts.verify,
-                    size_cap=opts.verify_size_cap,
+                    budget=_verify_budget(opts, net, gate_net),
                     seed=opts.verify_seed,
-                    deadline=deadline,
                     subject="BDS result for %r" % net.name)
                 verify_unknown = outcome.unknown_outputs
                 ledger.add(outcome.perf)
@@ -338,6 +338,17 @@ def bds_optimize(net: Network, options: Optional[BDSOptions] = None,
                                        {"artifact_cache_misses": 1.0,
                                         "artifact_cache_stores": 1.0}])
     return result
+
+
+def _verify_budget(opts: BDSOptions, spec: Network,
+                   impl: Network) -> Optional[int]:
+    """The CEC allocation budget ``opts.verify_budget`` asks for."""
+    if opts.verify_budget is None:
+        return _VERIFY_ALLOCS_PER_LITERAL * (spec.literal_count()
+                                             + impl.literal_count())
+    if opts.verify_budget == float("inf"):
+        return None
+    return int(opts.verify_budget)
 
 
 def _phase_timings(root: Span) -> Dict[str, float]:

@@ -24,7 +24,7 @@ Mirrors how BDS itself was used as a tool::
 
 Exit codes: 0 clean; 1 failure (verification mismatch, lint violation,
 fuzz find, failed/timed-out batch or client job, bench regression,
-unreachable server); 2 inconclusive (outputs the size-capped verifier
+unreachable server); 2 inconclusive (outputs the budgeted verifier
 could not prove, bench baselines not comparable) or parse error for
 ``check``.
 """
@@ -44,7 +44,7 @@ from repro.mapping import map_network
 from repro.mapping.lut import map_luts
 from repro.network import parse_blif, write_blif
 from repro.sis import script_rugged
-from repro.verify import DEFAULT_SIZE_CAP, VerifyError, verify_networks
+from repro.verify import DEFAULT_BUDGET, VerifyError, verify_networks
 
 
 def _cmd_optimize(args) -> int:
@@ -162,7 +162,7 @@ def _cmd_verify(args) -> int:
     """Equivalence-check two BLIFs.
 
     Exit 0 when every output is proven equivalent, 1 on a mismatch, and 2
-    when some outputs stayed unproven (size cap hit) -- "inconclusive" is
+    when some outputs stayed unproven (budget spent) -- "inconclusive" is
     not a pass, and the unproven output names are reported.
     """
     with open(args.a) as fh:
@@ -170,7 +170,7 @@ def _cmd_verify(args) -> int:
     with open(args.b) as fh:
         net_b = parse_blif(fh.read())
     outcome = verify_networks(net_a, net_b, mode=args.mode,
-                              size_cap=args.size_cap, seed=args.seed)
+                              budget=args.budget, seed=args.seed)
     if not outcome.equivalent:
         print("NOT equivalent (%s): output %s differs under %r"
               % (outcome.mode, outcome.failing_output,
@@ -556,12 +556,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("b")
     p_ver.add_argument("--mode", choices=["sim", "cec", "full"],
                        default="cec",
-                       help="sim = (exhaustive) simulation, cec = size-"
-                            "capped BDD proof, full = cec + simulation of "
-                            "capped outputs")
-    p_ver.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
-                       help="BDD work budget (node allocations) per output "
-                            "before giving up (reported as UNPROVEN, exit 2)")
+                       help="sim = (exhaustive) simulation, cec = "
+                            "budgeted BDD proof, full = cec + simulation of "
+                            "unproven outputs")
+    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="BDD work budget (node allocations) for the "
+                            "whole proof; outputs left unbuilt are "
+                            "reported as UNPROVEN, exit 2")
     p_ver.add_argument("--seed", type=int, default=1355,
                        help="seed for the simulation patterns")
     p_ver.set_defaults(func=_cmd_verify)

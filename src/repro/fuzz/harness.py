@@ -32,10 +32,11 @@ from repro.network.blif import write_blif
 from repro.network.network import Network
 from repro.verify import VerifyError, verify_networks
 
-#: Default BDD cap for the differential cross-check -- far above anything a
-#: tier-sized random circuit produces, so "unknown" effectively never
-#: happens during fuzzing and every iteration is a real verdict.
-CROSS_CHECK_CAP = 50000
+#: Default BDD budget (fresh node allocations) for the differential
+#: cross-check -- far above anything a tier-sized random circuit needs, so
+#: "unknown" effectively never happens during fuzzing and every iteration
+#: is a real verdict.
+CROSS_CHECK_BUDGET = 50000
 
 
 @dataclass
@@ -82,7 +83,7 @@ class FuzzReport:
 
 def run_case(net: Network, options: BDSOptions,
              map_mode: Optional[str] = None,
-             size_cap: int = CROSS_CHECK_CAP,
+             budget: int = CROSS_CHECK_BUDGET,
              seed: int = 1355, check_cache: bool = False) -> Optional[Failure]:
     """Run the flow (and optional mapping) on ``net``; None when clean.
 
@@ -105,7 +106,7 @@ def run_case(net: Network, options: BDSOptions,
     except Exception as exc:
         return Failure("crash", "flow",
                        "%s: %s" % (type(exc).__name__, exc))
-    failure = _cross_check(net, result.network, "flow", size_cap, seed)
+    failure = _cross_check(net, result.network, "flow", budget, seed)
     if failure is None and check_cache:
         failure = _cache_differential(net, options)
     if failure is not None or not map_mode:
@@ -120,7 +121,7 @@ def run_case(net: Network, options: BDSOptions,
     except Exception as exc:
         return Failure("crash", "map",
                        "%s: %s" % (type(exc).__name__, exc))
-    return _cross_check(net, mapped, "map", size_cap, seed)
+    return _cross_check(net, mapped, "map", budget, seed)
 
 
 def shrink_failure(net: Network, options: BDSOptions,
@@ -305,11 +306,11 @@ def _cache_differential(net: Network,
     return None
 
 
-def _cross_check(spec: Network, impl: Network, stage: str, size_cap: int,
+def _cross_check(spec: Network, impl: Network, stage: str, budget: int,
                  seed: int) -> Optional[Failure]:
     try:
         outcome = verify_networks(spec, impl, mode="full",
-                                  size_cap=size_cap, seed=seed)
+                                  budget=budget, seed=seed)
     except ValueError as exc:
         # Input/output sets changed: a structural miscompile.
         return Failure("mismatch", stage, "interface: %s" % exc)

@@ -2,7 +2,7 @@
 
 The flow's control-flow contracts ride on three exceptions:
 :class:`repro.bdd.manager.BddBudgetExceeded` (a resource verdict -- the
-size-capped verifier and the scheduler's SIGALRM timeout both *depend*
+budgeted verifier and the scheduler's SIGALRM timeout both *depend*
 on it propagating), :class:`repro.check.CheckError` (an invariant
 violation -- state is corrupt, continuing computes garbage), and
 :class:`repro.verify.VerifyError` (a miscompile).  A ``except

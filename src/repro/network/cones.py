@@ -1,20 +1,19 @@
-"""Network cone analysis: transitive fanin cones, MFFCs, cone extraction,
-the structural input order and full collapsing.
+"""Network cone analysis: transitive fanin cones, MFFCs, cone extraction
+and the structural input order.
 
 These are the standard structural queries of a logic-synthesis network
 package: the BDS paper's eliminate reasons about supernode granularity,
 and any downstream user of this library (mappers, verifiers, partitioners)
 needs cones and maximum fanout-free cones (MFFCs).  Every global BDD the
-package builds (sweep's merge proofs, CEC, full collapsing) orders its
-variables by :func:`structural_order`.
+package builds (sweep's merge proofs, CEC) orders its variables by
+:func:`structural_order`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.network.network import Network
-from repro.sop.cube import lit
 
 
 def transitive_fanin(net: Network, signal: str) -> Set[str]:
@@ -29,20 +28,6 @@ def transitive_fanin(net: Network, signal: str) -> Set[str]:
         node = net.nodes.get(name)
         if node is not None:
             stack.extend(node.fanins)
-    return seen
-
-
-def transitive_fanout(net: Network, signal: str) -> Set[str]:
-    """All node names whose cone contains ``signal`` (exclusive)."""
-    fanouts = net.fanouts()
-    seen: Set[str] = set()
-    stack = list(fanouts.get(signal, ()))
-    while stack:
-        name = stack.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        stack.extend(fanouts.get(name, ()))
     return seen
 
 
@@ -127,42 +112,3 @@ def structural_order(net: Network) -> List[str]:
     order.extend(name for name in net.inputs if name not in seen)
     return order
 
-
-def collapse_to_two_level(net: Network, max_cubes: int = 100000
-                          ) -> Optional[Network]:
-    """Fully collapse the network: one SOP node per output over the PIs.
-
-    Returns None when any output's cover would exceed ``max_cubes`` (the
-    classic two-level blowup) or its global BDD exceeds the verifier's
-    work cap.  Uses the BDD bridge (global BDD -> ISOP) rather than cube
-    substitution, which keeps the covers irredundant.
-    """
-    from repro.bdd import BDD
-    from repro.bdd.isop import isop
-    from repro.verify.cec import DEFAULT_SIZE_CAP, _global_bdd
-
-    mgr = BDD()
-    var_of = {name: mgr.new_var(name) for name in structural_order(net)}
-    out = Network(net.name + "_2lvl")
-    for i in net.inputs:
-        out.add_input(i)
-    cache: Dict[str, Optional[int]] = {}
-    for o in net.outputs:
-        ref = _global_bdd(mgr, net, o, var_of, cache, DEFAULT_SIZE_CAP)
-        if ref is None:
-            return None
-        if o in net.inputs:
-            out.add_output(o)
-            continue
-        cover_vars = isop(mgr, ref)
-        if len(cover_vars) > max_cubes:
-            return None
-        supp = sorted({v for cube in cover_vars for v in cube},
-                      key=mgr.level_of_var)
-        pos = {v: i for i, v in enumerate(supp)}
-        cover = [frozenset(lit(pos[v], val) for v, val in cube.items())
-                 for cube in cover_vars]
-        out.add_node(o, [mgr.var_name(v) for v in supp], cover)
-        out.add_output(o)
-    out.check()
-    return out

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 from repro.bdd import BDD, transfer_many
 from repro.bdd.isop import isop
 from repro.bdd.ops import cover_bdd
-from repro.bdd.traverse import node_count, shared_node_count, support_and_size
+from repro.bdd.traverse import node_count, support_and_size
 from repro.network.network import Network, Node
 from repro.sop.cover import Cover, complement, remove_contained
 from repro.sop.cube import cube_and, lit
@@ -252,9 +252,6 @@ class PartitionedNetwork:
         if size is None:
             size = sizes[name] = node_count(self.mgr, self.refs[name])
         return size
-
-    def total_bdd_nodes(self) -> int:
-        return shared_node_count(self.mgr, list(self.refs.values()))
 
     def remove_dangling(self) -> int:
         outputs = set(self.outputs)

@@ -6,7 +6,7 @@ everything a job can do to a worker:
 
 * **Per-job wall-clock timeouts** reuse the PR-4 budget machinery: the
   worker arms ``SIGALRM`` to raise :class:`repro.bdd.manager.BddBudgetExceeded`
-  -- the same interrupt the size-capped verifier uses -- so a timed-out
+  -- the same interrupt the budgeted verifier uses -- so a timed-out
   job unwinds gracefully and reports ``status="timeout"``.  A parent-side
   deadline (+ a grace period) is the backstop: a worker that cannot be
   interrupted (hung in C, ignoring signals) is terminated.

@@ -5,7 +5,7 @@ up (the paper could not verify C6288 either way and fell back to per-step
 checks).  :mod:`repro.verify.runner` is the shared entry point used by the
 flow (``BDSOptions.verify``), the CLI and the differential fuzzer."""
 
-from repro.verify.cec import (DEFAULT_SIZE_CAP, EquivalenceResult,
+from repro.verify.cec import (DEFAULT_BUDGET, EquivalenceResult,
                               check_equivalence)
 from repro.verify.runner import (
     VERIFY_MODES,
@@ -17,7 +17,7 @@ from repro.verify.runner import (
 from repro.verify.simulate import EXHAUSTIVE_LIMIT, simulate_equivalence
 
 __all__ = [
-    "DEFAULT_SIZE_CAP",
+    "DEFAULT_BUDGET",
     "EXHAUSTIVE_LIMIT",
     "EquivalenceResult",
     "VERIFY_MODES",

@@ -8,14 +8,13 @@ a depth-first walk of the output cones first reaches them, which
 interleaves the operand bits of adders, comparators and shifters so their
 proofs stay polynomial.
 Each node's function comes from its cover through
-:func:`repro.bdd.ops.cover_bdd`.  A work cap guards against blowup;
-capped outputs are reported as ``unknown`` and should be cross-checked by
-simulation.
+:func:`repro.bdd.ops.cover_bdd`.  One allocation budget per call guards
+against blowup; outputs it leaves unbuilt are reported as ``unknown`` and
+should be cross-checked by simulation.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.bdd import BDD, BddBudgetExceeded
@@ -28,32 +27,33 @@ from repro.network.network import Network
 class EquivalenceResult(NamedTuple):
     equivalent: bool
     checked_outputs: List[str]
-    unknown_outputs: List[str]        # blew the size cap
+    unknown_outputs: List[str]        # not built within the budget
     counterexample: Optional[Dict[str, bool]]
     failing_output: Optional[str]
     perf: Dict[str, float]            # the CEC manager's perf_snapshot()
 
 
-#: Default per-output work budget (fresh node allocations).  Sized so every
-#: proof the test suite relies on completes (the worst, C432 optimized vs.
-#: original, needs ~55k for its worst output) while still cutting off
+#: Default work budget (fresh node allocations for the whole call).  Sized
+#: so every proof the test suite relies on completes (the largest, C6288
+#: optimized vs. original, needs ~120k) while still cutting off
 #: exponential blowups.
-DEFAULT_SIZE_CAP = 2_000_000
+DEFAULT_BUDGET = 2_000_000
 
 
-def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
-                      deadline: Optional[float] = None) -> EquivalenceResult:
+def check_equivalence(a: Network, b: Network,
+                      budget: Optional[int] = DEFAULT_BUDGET
+                      ) -> EquivalenceResult:
     """Check that two networks implement the same functions.
 
     Requires identical input and output name sets.  Returns a result whose
     ``equivalent`` is True only when *every* output was proven equal.
-    ``size_cap`` bounds the *work* per output: once building an output's
-    global BDD has allocated that many fresh nodes the output is abandoned
-    to ``unknown_outputs`` (to be cross-checked by simulation).  Capping
-    work rather than final size matters in practice -- an output can grow
-    millions of intermediate nodes and still collapse to a small BDD.
-    ``deadline`` (a ``time.monotonic()`` instant) bounds the whole call the
-    same way: outputs not proven by then are reported unknown.
+    ``budget`` bounds the *work* of the whole call: once building the
+    global BDDs has allocated that many fresh nodes, every output not yet
+    built is abandoned to ``unknown_outputs`` (to be cross-checked by
+    simulation); ``None`` means unbounded.  Counting allocations rather
+    than final size or seconds matters in practice -- an output can grow
+    millions of intermediate nodes and still collapse to a small BDD, and
+    the count, unlike a clock, is the same on every run and machine.
     """
     if set(a.inputs) != set(b.inputs):
         raise ValueError("input sets differ: %r vs %r"
@@ -63,21 +63,22 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
 
     mgr = BDD()
     var_of = {name: mgr.new_var(name) for name in structural_order(a)}
+    if budget is not None:
+        mgr.set_alloc_limit(mgr.perf.nodes_allocated + budget)
 
-    cache_a: Dict[str, Optional[int]] = {}
-    cache_b: Dict[str, Optional[int]] = {}
+    cache_a: Dict[str, int] = {}
+    cache_b: Dict[str, int] = {}
     checked: List[str] = []
     unknown: List[str] = []
     for out in a.outputs:
-        if deadline is not None and time.monotonic() > deadline:
-            unknown.append(out)
-            continue
-        ref_a = _global_bdd(mgr, a, out, var_of, cache_a, size_cap, deadline)
-        ref_b = _global_bdd(mgr, b, out, var_of, cache_b, size_cap, deadline)
+        ref_a = _global_bdd(mgr, a, out, var_of, cache_a)
+        ref_b = _global_bdd(mgr, b, out, var_of, cache_b)
         if ref_a is None or ref_b is None:
             unknown.append(out)
             continue
         if ref_a != ref_b:
+            # The counterexample must not fail for want of budget.
+            mgr.set_alloc_limit(None)
             diff = mgr.xor_(ref_a, ref_b)
             partial = pick_assignment(mgr, diff)
             cex = {name: partial.get(var_of[name], False) for name in a.inputs}
@@ -88,30 +89,15 @@ def check_equivalence(a: Network, b: Network, size_cap: int = DEFAULT_SIZE_CAP,
                              mgr.perf_snapshot())
 
 
-#: Allocation granularity of the abort check: the kernel interrupts the
-#: build every this-many fresh nodes so a single deep operator call cannot
-#: blow past the work cap or the deadline unchecked.
-_BUDGET_CHUNK = 4096
-
-
 def _global_bdd(mgr: BDD, net: Network, output: str, var_of: Dict[str, int],
-                cache: Dict[str, Optional[int]], size_cap: int,
-                deadline: Optional[float] = None) -> Optional[int]:
-    """Global BDD of one output; None when the work budget runs out.
+                cache: Dict[str, int]) -> Optional[int]:
+    """Global BDD of one output; None when the manager's allocation limit
+    (:meth:`BDD.set_alloc_limit`) stops the build.
 
-    The work cap is enforced by the kernel itself: the manager's
-    allocation limit is advanced in :data:`_BUDGET_CHUNK` steps, and at
-    every :class:`BddBudgetExceeded` interrupt we either give up (cap or
-    deadline exhausted) or extend the window and resume.  Resuming is
-    cheap -- completed nodes sit in ``cache`` and the operator caches
-    replay the partial work.
+    Completed nodes stay in ``cache``, so a later output that shares them
+    does not rebuild them; the kernel aborts before touching manager
+    state, so everything built so far stays canonical.
     """
-    budget_start = mgr.perf.nodes_allocated
-
-    def exhausted() -> bool:
-        if mgr.perf.nodes_allocated - budget_start >= size_cap:
-            return True
-        return deadline is not None and time.monotonic() > deadline
 
     def build(name: str) -> int:
         if name in var_of and name not in net.nodes:
@@ -125,13 +111,6 @@ def _global_bdd(mgr: BDD, net: Network, output: str, var_of: Dict[str, int],
         return ref
 
     try:
-        while True:
-            mgr.set_alloc_limit(min(budget_start + size_cap,
-                                    mgr.perf.nodes_allocated + _BUDGET_CHUNK))
-            try:
-                return build(output)
-            except BddBudgetExceeded:
-                if exhausted():
-                    return None
-    finally:
-        mgr.set_alloc_limit(None)
+        return build(output)
+    except BddBudgetExceeded:
+        return None

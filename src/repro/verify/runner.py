@@ -8,11 +8,11 @@ one of three strengths:
     :data:`repro.verify.simulate.EXHAUSTIVE_LIMIT` inputs, seeded random
     patterns above.
 ``"cec"``
-    BDD-based equivalence checking (Section V); outputs whose global BDD
-    exceeds ``size_cap`` are reported in ``unknown_outputs`` rather than
-    silently passing.
+    BDD-based equivalence checking (Section V); outputs left unbuilt when
+    the call's ``budget`` of fresh node allocations runs out are reported
+    in ``unknown_outputs`` rather than silently passing.
 ``"full"``
-    CEC first, then a simulation cross-check whenever the cap left any
+    CEC first, then a simulation cross-check whenever the budget left any
     output unknown -- the paper's own C6288 fallback.
 
 ``require_equivalent`` wraps the same comparison and raises
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.network.network import Network
-from repro.verify.cec import DEFAULT_SIZE_CAP, check_equivalence
+from repro.verify.cec import DEFAULT_BUDGET, check_equivalence
 from repro.verify.simulate import simulate_equivalence
 
 #: Recognized verification modes, in increasing strength order.
@@ -72,7 +72,8 @@ class VerifyOutcome:
             return ("NOT equivalent (%s): output %r differs under %r"
                     % (self.mode, self.failing_output, self.counterexample))
         if self.unknown_outputs:
-            return ("inconclusive (%s): %d output(s) exceeded the BDD cap: %s"
+            return ("inconclusive (%s): %d output(s) exceeded the BDD "
+                    "budget: %s"
                     % (self.mode, len(self.unknown_outputs),
                        ", ".join(self.unknown_outputs)))
         return ("equivalent (%s): %d output(s) checked"
@@ -80,14 +81,13 @@ class VerifyOutcome:
 
 
 def verify_networks(spec: Network, impl: Network, mode: str = "cec",
-                    size_cap: int = DEFAULT_SIZE_CAP, seed: int = 1355,
-                    rounds: int = 16, width: int = 256,
-                    deadline: Optional[float] = None) -> VerifyOutcome:
+                    budget: Optional[int] = DEFAULT_BUDGET, seed: int = 1355,
+                    rounds: int = 16, width: int = 256) -> VerifyOutcome:
     """Compare ``impl`` against ``spec``; never raises on mismatch.
 
-    ``deadline`` (a ``time.monotonic()`` instant) bounds the BDD proof
-    attempt; outputs not proven in time land in ``unknown_outputs`` (and
-    get simulated in mode "full").
+    ``budget`` (fresh node allocations, ``None`` = unbounded) bounds the
+    BDD proof attempt; outputs it leaves unproven land in
+    ``unknown_outputs`` (and get simulated in mode "full").
     """
     if mode not in VERIFY_MODES or mode == "off":
         raise ValueError("verify mode must be one of %r, got %r"
@@ -95,7 +95,7 @@ def verify_networks(spec: Network, impl: Network, mode: str = "cec",
     if mode == "sim":
         return _simulate_outcome(spec, impl, "sim", seed, rounds, width)
 
-    res = check_equivalence(spec, impl, size_cap=size_cap, deadline=deadline)
+    res = check_equivalence(spec, impl, budget=budget)
     if res.counterexample is not None:
         return VerifyOutcome(mode, equivalent=False, proven=False,
                              outputs_checked=len(res.checked_outputs),
@@ -111,7 +111,7 @@ def verify_networks(spec: Network, impl: Network, mode: str = "cec",
             sim.unknown_outputs = list(res.unknown_outputs)
             return sim
         if sim.proven:
-            # The cross-check was exhaustive: capped outputs are proven
+            # The cross-check was exhaustive: unknown outputs are proven
             # after all, not merely unrefuted.
             return VerifyOutcome(mode, equivalent=True, proven=True,
                                  outputs_checked=len(spec.outputs),
@@ -124,16 +124,14 @@ def verify_networks(spec: Network, impl: Network, mode: str = "cec",
 
 
 def require_equivalent(spec: Network, impl: Network, mode: str = "cec",
-                       size_cap: int = DEFAULT_SIZE_CAP, seed: int = 1355,
-                       rounds: int = 16, width: int = 256,
-                       deadline: Optional[float] = None,
+                       budget: Optional[int] = DEFAULT_BUDGET,
+                       seed: int = 1355, rounds: int = 16, width: int = 256,
                        subject: str = "optimized network") -> VerifyOutcome:
     """Like :func:`verify_networks` but raises :class:`VerifyError` on
-    mismatch; inconclusive (capped) outputs do *not* raise -- callers see
+    mismatch; inconclusive (over-budget) outputs do *not* raise -- callers see
     them in ``unknown_outputs`` and decide."""
-    outcome = verify_networks(spec, impl, mode=mode, size_cap=size_cap,
-                              seed=seed, rounds=rounds, width=width,
-                              deadline=deadline)
+    outcome = verify_networks(spec, impl, mode=mode, budget=budget,
+                              seed=seed, rounds=rounds, width=width)
     if not outcome.equivalent:
         raise VerifyError(
             "%s fails verification (%s): %s" % (subject, mode,

@@ -100,13 +100,6 @@ class TestOperators:
         f = mgr.xnor_(mgr.var_ref(a), mgr.var_ref(b))
         brute_force_check(mgr, f, [a, b], lambda x, y: x == y)
 
-    def test_nand_nor(self, mgr):
-        a, b = mgr.new_var("a"), mgr.new_var("b")
-        f = mgr.nand_(mgr.var_ref(a), mgr.var_ref(b))
-        g = mgr.nor_(mgr.var_ref(a), mgr.var_ref(b))
-        brute_force_check(mgr, f, [a, b], lambda x, y: not (x and y))
-        brute_force_check(mgr, g, [a, b], lambda x, y: not (x or y))
-
     def test_implies(self, mgr):
         a, b = mgr.new_var("a"), mgr.new_var("b")
         f = mgr.implies(mgr.var_ref(a), mgr.var_ref(b))

@@ -102,7 +102,7 @@ class TestVerifyContract:
     def test_inconclusive_exits_2_and_names_outputs(self, tmp_path, capsys):
         a = str(tmp_path / "a.blif")
         main(["generate", "add4", "-o", a])
-        rc = main(["verify", a, a, "--size-cap", "1"])
+        rc = main(["verify", a, a, "--budget", "1"])
         assert rc == 2
         out = capsys.readouterr().out
         assert "UNPROVEN" in out
@@ -111,9 +111,9 @@ class TestVerifyContract:
     def test_full_mode_breaks_the_tie(self, tmp_path, capsys):
         a = str(tmp_path / "a.blif")
         main(["generate", "add4", "-o", a])
-        # Same tiny cap, but the exhaustive simulation cross-check proves
-        # the capped outputs (add4 is small enough for a full truth table).
-        rc = main(["verify", a, a, "--size-cap", "1", "--mode", "full"])
+        # Same tiny budget, but the exhaustive simulation cross-check proves
+        # the unproven outputs (add4 is small enough for a full truth table).
+        rc = main(["verify", a, a, "--budget", "1", "--mode", "full"])
         assert rc == 0
         assert "equivalent" in capsys.readouterr().out
 

@@ -1,19 +1,9 @@
-"""Tests for cone analysis and full collapsing."""
+"""Tests for cone analysis."""
 
 import itertools
 
-
-from repro.circuits import parity_tree, ripple_adder
 from repro.network import Network
-from repro.network.cones import (
-    collapse_to_two_level,
-    extract_cone,
-    mffc,
-    transitive_fanin,
-    transitive_fanout,
-)
-from repro.sop.cube import lit
-from repro.verify import check_equivalence
+from repro.network.cones import extract_cone, mffc, transitive_fanin
 
 
 def diamond() -> Network:
@@ -35,12 +25,6 @@ class TestCones:
         net = diamond()
         cone = transitive_fanin(net, "y1")
         assert cone == {"y1", "u1", "t", "a", "b", "c"}
-
-    def test_transitive_fanout(self):
-        net = diamond()
-        fan = transitive_fanout(net, "t")
-        assert fan == {"u1", "y1", "y2"}
-        assert transitive_fanout(net, "y1") == set()
 
     def test_mffc_shared_node_excluded(self):
         net = diamond()
@@ -76,43 +60,3 @@ class TestCones:
         cone = extract_cone(net, ["y"])
         assert "c" not in cone.inputs
 
-
-class TestCollapse:
-    def test_collapse_preserves_function(self):
-        net = ripple_adder(3)
-        flat = collapse_to_two_level(net)
-        assert flat is not None
-        assert check_equivalence(net, flat).equivalent
-        # Every node reads only PIs.
-        for node in flat.nodes.values():
-            for f in node.fanins:
-                assert f in flat.inputs
-
-    def test_collapse_parity_blows_up_gracefully(self):
-        net = parity_tree(12)
-        flat = collapse_to_two_level(net, max_cubes=100)
-        assert flat is None  # 2^11 minterms needed
-
-    def test_collapse_output_is_input(self):
-        net = Network("thru")
-        net.add_input("a")
-        net.add_output("a")
-        flat = collapse_to_two_level(net)
-        assert flat is not None
-        assert flat.eval({"a": True})["a"] is True
-
-    def test_collapse_caps_cubes_not_bdd_work(self):
-        # A 12-input AND chain collapses to one cube.  Building its global
-        # BDD allocates more than three nodes, so a cap that also bounded
-        # the BDD work would refuse it.
-        net = Network("and_chain")
-        names = [net.add_input("x%d" % k) for k in range(12)]
-        prev = names[0]
-        for k in range(1, 12):
-            prev = net.add_and("t%d" % k, [prev, names[k]])
-        net.add_output(prev)
-        flat = collapse_to_two_level(net, max_cubes=3)
-        assert flat is not None
-        assert flat.nodes[prev].cover == [
-            frozenset(lit(k) for k in range(12))]
-        assert check_equivalence(net, flat).equivalent

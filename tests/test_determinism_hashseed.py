@@ -31,11 +31,6 @@ def _run_cli(args, seed, cwd):
     return res
 
 
-#: Verify mode per circuit (default cec).  The CEC budget leaves some
-#: C1355 outputs unproven (exit 2), so C1355 is verified by simulation.
-VERIFY_MODE = {"C1355": "sim"}
-
-
 #: rl_mux/add4 are the historical guards; rot and C880 come from Table I
 #: (rot once emitted hash-seed-dependent gensym numbering through an
 #: unsorted dependency-set DFS in trees_to_network -- the golden-digest
@@ -49,8 +44,7 @@ def test_flow_output_identical_across_hash_seeds(circuit, tmp_path):
         gen = tmp_path / ("%s_%s.blif" % (circuit, seed))
         opt = tmp_path / ("%s_%s_opt.blif" % (circuit, seed))
         _run_cli(["generate", circuit, "-o", str(gen)], seed, tmp_path)
-        _run_cli(["optimize", str(gen), "-o", str(opt),
-                  "--verify", VERIFY_MODE.get(circuit, "cec")],
+        _run_cli(["optimize", str(gen), "-o", str(opt), "--verify", "cec"],
                  seed, tmp_path)
         outputs[seed] = (gen.read_bytes(), opt.read_bytes())
     first = outputs[SEEDS[0]]

@@ -65,7 +65,7 @@ class TestFlowVerify:
     def test_size_cap_yields_unknowns_not_error(self):
         net = build_circuit("add4")
         result = bds_optimize(net, BDSOptions(verify="cec",
-                                              verify_size_cap=1))
+                                              verify_budget=1))
         assert result.verify_unknown_outputs
         assert result.perf["verify_unknown"] == len(
             result.verify_unknown_outputs)
@@ -84,3 +84,17 @@ class TestFlowVerify:
                 continue
             got = sum(s.counters.get(key, 0) for s in phases)
             assert got == pytest.approx(want), key
+
+    def test_default_budget_verdict_is_deterministic(self):
+        # The default budget counts allocations per literal of the input
+        # and optimized networks, so neither a non-semantic option (jobs,
+        # check_level) nor the clock can move the verdict.  C432 is one of
+        # the circuits the default budget leaves partly unproven.
+        net = build_circuit("C432")
+        verdicts = [
+            bds_optimize(net, BDSOptions(verify="cec", **extra))
+            .verify_unknown_outputs
+            for extra in ({}, {}, {"jobs": 2}, {"check_level": "full"})]
+        assert 0 < len(verdicts[0]) < len(net.outputs)
+        for verdict in verdicts[1:]:
+            assert verdict == verdicts[0]

@@ -36,10 +36,10 @@ class TestDot:
 
 class TestVerifierEdges:
     def test_size_cap_yields_unknown(self):
-        # A multiplier-ish function with a tiny cap -> unknown outputs.
+        # A multiplier-ish function with a tiny budget -> unknown outputs.
         from repro.circuits import array_multiplier
         net = array_multiplier(4)
-        res = check_equivalence(net, net.copy(), size_cap=3)
+        res = check_equivalence(net, net.copy(), budget=3)
         assert not res.equivalent
         assert res.unknown_outputs
         assert res.counterexample is None
@@ -89,15 +89,6 @@ class TestEliminateEdges:
         removed = part.remove_dangling()
         assert removed >= 1
         assert "y" in part.refs
-
-    def test_total_bdd_nodes(self):
-        net = Network()
-        for nm in "ab":
-            net.add_input(nm)
-        net.add_output("y")
-        net.add_and("y", ["a", "b"])
-        part = PartitionedNetwork.from_network(net)
-        assert part.total_bdd_nodes() == 2
 
 
 class TestDecompOptions:

@@ -47,7 +47,6 @@ class TestCacheKey:
             ("balance_trees", True),
             ("use_sdc", True),
             ("verify", "cec"),
-            ("verify_size_cap", 999),
             ("verify_seed", 2),
             ("verify_budget", 1.5),
         ]

@@ -64,7 +64,7 @@ class TestCheckEquivalence:
 
     def test_size_cap_reports_unknown_not_pass(self):
         net = build_circuit("add4")
-        res = check_equivalence(net, net.copy(), size_cap=1)
+        res = check_equivalence(net, net.copy(), budget=1)
         assert not res.equivalent           # unknown is not a pass
         assert res.counterexample is None
         assert res.unknown_outputs
@@ -128,14 +128,14 @@ class TestVerifyRunner:
 
     def test_full_mode_exhaustive_crosscheck_is_a_proof(self):
         net = build_circuit("add4")        # <= EXHAUSTIVE_LIMIT inputs
-        outcome = verify_networks(net, net.copy(), mode="full", size_cap=1)
+        outcome = verify_networks(net, net.copy(), mode="full", budget=1)
         assert outcome.equivalent
         assert outcome.proven              # full truth table = proof
         assert not outcome.unknown_outputs
 
     def test_full_mode_random_crosscheck_stays_unproven(self):
         net = build_circuit("bshift32")    # > EXHAUSTIVE_LIMIT inputs
-        outcome = verify_networks(net, net.copy(), mode="full", size_cap=1)
+        outcome = verify_networks(net, net.copy(), mode="full", budget=1)
         assert outcome.equivalent          # simulation vouches for them
         assert not outcome.proven          # ... but it is not a proof
         assert outcome.unknown_outputs
@@ -152,7 +152,7 @@ class TestVerifyRunner:
     def test_unknowns_do_not_raise(self):
         net = build_circuit("add4")
         outcome = require_equivalent(net, net.copy(), mode="cec",
-                                     size_cap=1)
+                                     budget=1)
         assert outcome.unknown_outputs
 
     def test_bad_mode_rejected(self):
@@ -173,7 +173,7 @@ class TestStructuralOrder:
 
     def test_bshift16_proves_under_a_small_cap(self):
         net, opt = self._optimized("bshift16")
-        res = check_equivalence(net, opt, size_cap=5000)
+        res = check_equivalence(net, opt, budget=5000)
         assert res.equivalent
         assert not res.unknown_outputs
         assert len(res.checked_outputs) == 16
